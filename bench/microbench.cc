@@ -102,6 +102,7 @@
 #include "dedup/index.h"
 #include "dedup/sha1.h"
 #include "dedup/sha256.h"
+#include "dedup/sha256_compress.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "service/service.h"
@@ -246,7 +247,31 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_Sha256)->Arg(2048)->Arg(4096)->Arg(8192)->Arg(65536);
+
+// The two block compresses behind Sha256 over one chunk's worth of whole
+// blocks. Second arg: 0 = scalar, 1 = SHA-NI (skipped without the CPU
+// extensions).
+void BM_Sha256Compress(benchmark::State& state) {
+  const bool shani = state.range(1) != 0;
+  if (shani && !dedup::detail::sha256_shani_supported()) {
+    state.SkipWithError("CPU lacks the SHA extensions");
+    return;
+  }
+  const auto compress = shani ? &dedup::detail::sha256_compress_shani
+                              : &dedup::detail::sha256_compress_scalar;
+  const std::uint8_t* data = as_bytes(payload()).data();
+  const auto blocks = static_cast<std::size_t>(state.range(0)) / 64;
+  std::uint32_t st[8] = {};
+  for (auto _ : state) {
+    compress(st, data, blocks);
+    benchmark::DoNotOptimize(st);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Sha256Compress)->ArgsProduct({{2048, 4096, 8192}, {0, 1}});
 
 void BM_ChunkIndexLookup(benchmark::State& state) {
   dedup::ChunkIndex index(0.0);

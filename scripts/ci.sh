@@ -120,21 +120,23 @@ cmake --build "$SAN_DIR" -j "$JOBS" \
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
   -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|transport_test|obs_test|common_test'
 
-echo "=== TSan build (queues, thread pool, obs, service, transport) ==="
+echo "=== TSan build (queues, thread pool, obs, service, transport, backup) ==="
 # The suites that genuinely run multiple threads: common_test (BoundedQueue +
 # ThreadPool stress), obs_test (registry shards racing snapshot, tracer),
 # service_test (N producer threads over one engine), core_test (slot-lease
 # backpressure across producer/consumer threads), transport_test and
 # sink_test (store-thread delivery), retention_test (pins vs GC sweeps over
-# the shared store). TSan's happens-before checking is what the
-# thread-safety annotations cannot give us under gcc.
+# the shared store), backup_test (the CPU backend hashes chunks on the
+# chunker's pool, writing the digest vector from worker threads). TSan's
+# happens-before checking is what the thread-safety annotations cannot give
+# us under gcc.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DSHREDDER_WERROR=ON -DSHREDDER_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target common_test obs_test service_test core_test transport_test \
-  sink_test retention_test
+  sink_test retention_test backup_test
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R 'common_test|obs_test|service_test|core_test|transport_test|sink_test|retention_test'
+  -R 'common_test|obs_test|service_test|core_test|transport_test|sink_test|retention_test|backup_test'
 
 echo "=== ci OK ==="

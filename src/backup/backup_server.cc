@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/timer.h"
+#include "dedup/dedup.h"
 
 namespace shredder::backup {
 
@@ -200,6 +201,14 @@ BackupRunStats BackupServer::dedup_and_ship(
       stats.device_fingerprint
           ? 0.0
           : static_cast<double>(image.size()) / config_.costs.host_hash_bw;
+  // Host hashing, when the chunking stage left it to us, happens up front:
+  // on the CPU backend's idle chunker pool, serially on the other backends.
+  // The walk below sees the same digests in the same order either way, so
+  // dedup decisions do not depend on the thread count.
+  if (!stats.device_fingerprint) {
+    digests = dedup::hash_chunks(cpu_chunker_ ? &cpu_chunker_->pool() : nullptr,
+                                 image, chunks);
+  }
   // The wire: batched streams ride the windowed ack-clocked Transport (with
   // the server's chunk store as the repair source); the per-chunk framing
   // keeps the paper's fire-and-forget AgentLink model.
@@ -245,9 +254,7 @@ BackupRunStats BackupServer::dedup_and_ship(
       const ByteSpan payload =
           image.subspan(static_cast<std::size_t>(c.offset),
                         static_cast<std::size_t>(c.size));
-      const auto digest = stats.device_fingerprint
-                              ? digests[chunk_i]
-                              : dedup::ChunkHasher::hash(payload);
+      const auto& digest = digests[chunk_i];
       const auto existing = index_->lookup_or_insert(
           digest, dedup::ChunkLocation{next_store_offset_, c.size},
           index_stream);

@@ -51,6 +51,9 @@ class ParallelChunker {
 
   const ParallelChunkerStats& stats() const noexcept { return stats_; }
   std::size_t threads() const noexcept { return pool_.size(); }
+  // The worker pool, idle between chunk() calls; consumers borrow it for
+  // follow-on per-chunk work (dedup::hash_chunks).
+  ThreadPool& pool() noexcept { return pool_; }
 
  private:
   const rabin::RabinTables& tables_;

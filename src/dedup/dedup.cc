@@ -4,6 +4,29 @@
 
 namespace shredder::dedup {
 
+std::vector<ChunkDigest> hash_chunks(ThreadPool* pool, ByteSpan image,
+                                     std::span<const chunking::Chunk> chunks) {
+  for (const auto& c : chunks) {
+    if (c.end() > image.size()) {
+      throw std::invalid_argument("hash_chunks: chunk out of range");
+    }
+  }
+  std::vector<ChunkDigest> digests(chunks.size());
+  const auto hash_range = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      digests[i] = ChunkHasher::hash(
+          image.subspan(static_cast<std::size_t>(chunks[i].offset),
+                        static_cast<std::size_t>(chunks[i].size)));
+    }
+  };
+  if (pool) {
+    pool->parallel_for(chunks.size(), hash_range);
+  } else {
+    hash_range(0, chunks.size());
+  }
+  return digests;
+}
+
 Deduplicator::Deduplicator(double index_probe_seconds)
     : index_(std::make_unique<ChunkIndex>(index_probe_seconds)) {}
 

@@ -10,10 +10,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "chunking/chunk.h"
 #include "common/bytes.h"
+#include "common/thread_pool.h"
 #include "dedup/digest.h"
 #include "dedup/index.h"
 #include "dedup/store.h"
@@ -32,6 +34,13 @@ struct DedupStats {
                                   static_cast<double>(bytes_total);
   }
 };
+
+// The ChunkHasher digest of every chunk of `image`, in chunk order: across
+// `pool` (contiguous chunk ranges per worker) when one is given, serially on
+// the calling thread otherwise. Bit-identical either way. Must not be called
+// from a `pool` worker.
+std::vector<ChunkDigest> hash_chunks(ThreadPool* pool, ByteSpan image,
+                                     std::span<const chunking::Chunk> chunks);
 
 class Deduplicator {
  public:

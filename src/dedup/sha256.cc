@@ -1,6 +1,14 @@
 #include "dedup/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "dedup/sha256_compress.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace shredder::dedup {
 
@@ -23,7 +31,152 @@ constexpr std::uint32_t kK[64] = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
+using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*,
+                            std::size_t) noexcept;
+
+// The dispatch decision, made once on first use (a function-local static,
+// so a hash run from another translation unit's static initializer still
+// sees a selected compress).
+inline void compress(std::uint32_t* state, const std::uint8_t* data,
+                     std::size_t nblocks) noexcept {
+  static const CompressFn fn = detail::sha256_shani_supported()
+                                   ? &detail::sha256_compress_shani
+                                   : &detail::sha256_compress_scalar;
+  fn(state, data, nblocks);
+}
+
 }  // namespace
+
+namespace detail {
+
+void sha256_compress_scalar(std::uint32_t state[8], const std::uint8_t* data,
+                            std::size_t nblocks) noexcept {
+  for (; nblocks != 0; --nblocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[i * 4]) << 24) |
+             (static_cast<std::uint32_t>(data[i * 4 + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[i * 4 + 2]) << 8) |
+             static_cast<std::uint32_t>(data[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+bool sha256_shani_supported() noexcept {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0) return false;
+  const bool ssse3 = (c & bit_SSSE3) != 0;
+  const bool sse41 = (c & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
+  const bool sha = (b & bit_SHA) != 0;  // leaf 7, EBX bit 29
+  return sha && sse41 && ssse3;
+}
+
+// The SHA extensions keep the working variables as two vectors, ABEF and
+// CDGH. Each sha256rnds2 runs two rounds from the low two words of
+// (W + K); sha256msg1/msg2 plus one alignr/add compute the next four
+// schedule words. Four-round group g uses schedule vector msg[g % 4].
+__attribute__((target("sha,sse4.1,ssse3"))) void sha256_compress_shani(
+    std::uint32_t state[8], const std::uint8_t* data,
+    std::size_t nblocks) noexcept {
+  // Byte-swaps each 32-bit word: the message is big-endian.
+  const __m128i kBswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i state1 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);           // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1B);     // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);  // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);  // CDGH
+
+  for (; nblocks != 0; --nblocks, data += 64) {
+    const __m128i abef_save = state0;
+    const __m128i cdgh_save = state1;
+    __m128i msg[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& cur = msg[g & 3];
+      if (g < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            kBswap);
+      }
+      __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      if (g >= 3 && g <= 14) {
+        // Finish W[4g+4 .. 4g+7] in msg[(g+1) % 4].
+        __m128i& next = msg[(g + 1) & 3];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(cur, msg[(g - 1) & 3], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, wk);
+      if (g >= 1 && g <= 12) {
+        // Start W[4g+12 .. 4g+15] in msg[(g-1) % 4].
+        msg[(g - 1) & 3] = _mm_sha256msg1_epu32(msg[(g - 1) & 3], cur);
+      }
+    }
+    state0 = _mm_add_epi32(state0, abef_save);
+    state1 = _mm_add_epi32(state1, cdgh_save);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1B);        // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);     // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);  // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);     // ABEF
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
+}
+
+#else
+
+bool sha256_shani_supported() noexcept { return false; }
+
+void sha256_compress_shani(std::uint32_t state[8], const std::uint8_t* data,
+                           std::size_t nblocks) noexcept {
+  sha256_compress_scalar(state, data, nblocks);
+}
+
+#endif
+
+}  // namespace detail
 
 std::string Sha256Digest::hex() const {
   static constexpr char kHex[] = "0123456789abcdef";
@@ -55,49 +208,6 @@ void Sha256::reset() noexcept {
   buffered_ = 0;
 }
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
-}
-
 void Sha256::update(ByteSpan data) noexcept {
   length_ += data.size();
   std::size_t offset = 0;
@@ -106,32 +216,35 @@ void Sha256::update(ByteSpan data) noexcept {
     std::memcpy(buffer_.data() + buffered_, data.data(), take);
     buffered_ += take;
     offset += take;
-    if (buffered_ == 64) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+    if (buffered_ < 64) return;
+    compress(h_, buffer_.data(), 1);
+    buffered_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks != 0) {
+    compress(h_, data.data() + offset, blocks);
+    offset += blocks * 64;
   }
-  if (offset < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
-    buffered_ = data.size() - offset;
+  buffered_ = data.size() - offset;
+  if (buffered_ != 0) {
+    std::memcpy(buffer_.data(), data.data() + offset, buffered_);
   }
 }
 
 Sha256Digest Sha256::finish() noexcept {
+  // 0x80, zeros, then the 64-bit big-endian bit length in the last 8 bytes
+  // of the final block: one block if the length fits after the 0x80 byte,
+  // else two.
   const std::uint64_t bit_length = length_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(ByteSpan{&pad, 1});
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) update(ByteSpan{&zero, 1});
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  const std::size_t blocks = buffered_ < 56 ? 1 : 2;
+  const std::size_t end = blocks * 64;
+  buffer_[buffered_] = 0x80;
+  std::memset(buffer_.data() + buffered_ + 1, 0, end - 8 - buffered_ - 1);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[end - 8 + i] =
+        static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   }
-  update(ByteSpan{len_bytes, 8});
+  compress(h_, buffer_.data(), blocks);
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) {
     digest.bytes[static_cast<std::size_t>(i * 4)] =

@@ -1,8 +1,11 @@
-// SHA-256 (FIPS 180-4), from scratch.
+// SHA-256 (FIPS 180-4), from scratch: the canonical ChunkDigest of the
+// dedup/backup stack (dedup/digest.h).
 //
-// Offered alongside SHA-1 for deployments that want a stronger chunk hash;
-// the backup case study defaults to SHA-1 (the common choice in 2012-era
-// dedup systems), tests cover both against the NIST vectors.
+// The block compress is picked once per process: the x86 SHA extensions
+// (SHA-NI) when CPUID reports them, the portable scalar compress otherwise.
+// Both produce bit-identical digests (dedup_test differential suite); no
+// build flag or setting is involved. update() hands every run of whole
+// blocks to the compress in one call.
 #pragma once
 
 #include <array>
@@ -32,11 +35,11 @@ class Sha256 {
   static Sha256Digest hash(ByteSpan data) noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::uint32_t h_[8];
   std::uint64_t length_ = 0;
-  std::array<std::uint8_t, 64> buffer_{};
+  // One partial block between update() calls; finish() pads in place into
+  // the one or two final blocks.
+  std::array<std::uint8_t, 128> buffer_{};
   std::size_t buffered_ = 0;
 };
 

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "backup/agent.h"
 #include "backup/backup_server.h"
 #include "backup/image.h"
+#include "chunking/cdc.h"
 #include "common/rng.h"
 #include "service/service.h"
 
@@ -229,6 +231,74 @@ INSTANTIATE_TEST_SUITE_P(Backends, BackupBackends,
                          ::testing::Values(ChunkerBackend::kShredderGpu,
                                            ChunkerBackend::kPthreadsCpu,
                                            ChunkerBackend::kSharedService));
+
+// --- CPU backend: chunk hashing on the chunker's pool ---
+
+TEST(BackupServer, CpuPoolHashingIndependentOfThreadCount) {
+  // The CPU backend hashes chunks across its chunker's pool before the
+  // serial dedup walk; the walk must see exactly what a one-thread run and
+  // a serial ChunkHasher over chunk_serial see.
+  ImageRepoConfig repo_cfg = small_repo_config();
+  repo_cfg.segment_bytes = 64 * 1024;
+  ImageRepository repo(repo_cfg);
+  const auto snap1 = repo.snapshot(0.0, 1);
+  const auto snap2 = repo.snapshot(0.3, 2);
+
+  struct Run {
+    std::vector<BackupRunStats> stats;
+    std::vector<std::vector<dedup::ChunkDigest>> manifests;
+  };
+  const auto run = [&](std::size_t threads) {
+    BackupServerConfig cfg = small_server_config(ChunkerBackend::kPthreadsCpu);
+    cfg.cpu_threads = threads;
+    BackupServer server(cfg);
+    BackupAgent agent;
+    Run r;
+    r.stats.push_back(server.backup_image("vm1", as_bytes(snap1), repo, agent));
+    r.stats.push_back(server.backup_image("vm2", as_bytes(snap2), repo, agent));
+    for (const char* id : {"vm1", "vm2"}) {
+      r.manifests.push_back(server.retention().manifests().digests("", id));
+    }
+    return r;
+  };
+  const Run one = run(1);
+  const Run four = run(4);
+
+  const rabin::RabinTables tables(small_backup_chunker().window);
+  const std::vector<ByteVec> snaps = {snap1, snap2};
+  for (std::size_t i = 0; i < snaps.size(); ++i) {
+    std::vector<dedup::ChunkDigest> serial;
+    for (const auto& c : chunking::chunk_serial(tables, small_backup_chunker(),
+                                                as_bytes(snaps[i]))) {
+      serial.push_back(dedup::ChunkHasher::hash(
+          ByteSpan(snaps[i]).subspan(static_cast<std::size_t>(c.offset),
+                                     static_cast<std::size_t>(c.size))));
+    }
+    EXPECT_EQ(one.manifests[i], serial) << "snapshot " << i;
+    EXPECT_EQ(four.manifests[i], serial) << "snapshot " << i;
+
+    const BackupRunStats& a = one.stats[i];
+    const BackupRunStats& b = four.stats[i];
+    EXPECT_TRUE(a.verified);
+    EXPECT_TRUE(b.verified);
+    EXPECT_EQ(a.chunks, serial.size());
+    EXPECT_EQ(a.duplicate_chunks, b.duplicate_chunks);
+    EXPECT_EQ(a.unique_bytes, b.unique_bytes);
+    EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+    EXPECT_EQ(a.generation_seconds, b.generation_seconds);
+    EXPECT_EQ(a.chunking_seconds, b.chunking_seconds);
+    EXPECT_EQ(a.hashing_seconds, b.hashing_seconds);
+    EXPECT_EQ(a.index_seconds, b.index_seconds);
+    EXPECT_EQ(a.link_seconds, b.link_seconds);
+    EXPECT_EQ(a.index_transfer_seconds, b.index_transfer_seconds);
+    EXPECT_EQ(a.virtual_seconds, b.virtual_seconds);
+  }
+  // The second snapshot shares most segments with the first, so the walk
+  // really made both kinds of decision.
+  EXPECT_GT(one.stats[1].duplicate_chunks, 0u);
+  EXPECT_LT(one.stats[1].unique_bytes, snap2.size());
+  EXPECT_GT(one.stats[1].unique_bytes, 0u);
+}
 
 // --- Shared-service backend ---
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "chunking/cdc.h"
 #include "common/rng.h"
@@ -13,6 +14,7 @@
 #include "dedup/index.h"
 #include "dedup/sha1.h"
 #include "dedup/sha256.h"
+#include "dedup/sha256_compress.h"
 #include "dedup/store.h"
 
 namespace shredder::dedup {
@@ -112,6 +114,114 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     pos += n;
   }
   EXPECT_EQ(h.finish(), Sha256::hash(as_bytes(data)));
+}
+
+// --- SHA-256: scalar vs SHA-NI compress differential ---
+//
+// The padding here is written out independently of Sha256::finish(), so
+// each compress is checked on its own and Sha256 (whichever compress it
+// dispatched to) is checked against the scalar oracle.
+
+using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*,
+                            std::size_t) noexcept;
+
+Sha256Digest digest_with(CompressFn compress, ByteSpan data) {
+  std::uint32_t state[8] = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u,
+                            0xa54ff53au, 0x510e527fu, 0x9b05688cu,
+                            0x1f83d9abu, 0x5be0cd19u};
+  const std::size_t whole = data.size() / 64;
+  compress(state, data.data(), whole);
+  ByteVec tail(data.begin() + static_cast<std::ptrdiff_t>(whole * 64),
+               data.end());
+  tail.push_back(0x80);
+  while (tail.size() % 64 != 56) tail.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    tail.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  compress(state, tail.data(), tail.size() / 64);
+  Sha256Digest d;
+  for (std::size_t i = 0; i < 32; ++i) {
+    d.bytes[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return d;
+}
+
+Sha256Digest scalar_digest(ByteSpan data) {
+  return digest_with(&detail::sha256_compress_scalar, data);
+}
+
+// Lengths 0..130, then 64k-1, 64k, 64k+1 up to 8 KB.
+std::vector<std::size_t> differential_lengths() {
+  std::vector<std::size_t> lens;
+  for (std::size_t n = 0; n <= 130; ++n) lens.push_back(n);
+  for (std::size_t k = 3; k * 64 <= 8192; ++k) {
+    lens.insert(lens.end(), {k * 64 - 1, k * 64, k * 64 + 1});
+  }
+  return lens;
+}
+
+TEST(Sha256Compress, ScalarMatchesNistVectors) {
+  EXPECT_EQ(scalar_digest({}).hex(),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(scalar_digest(str_bytes("abc")).hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      scalar_digest(str_bytes(
+                        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
+          .hex(),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  const std::string a(1000000, 'a');
+  EXPECT_EQ(scalar_digest(as_bytes(a)).hex(),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256Compress, DispatchedHashMatchesScalarEveryLength) {
+  const auto data = random_bytes(8192 + 1, 21);
+  for (const std::size_t n : differential_lengths()) {
+    const ByteSpan msg = ByteSpan(data).first(n);
+    ASSERT_EQ(Sha256::hash(msg), scalar_digest(msg)) << "length " << n;
+  }
+}
+
+TEST(Sha256Compress, ShaNiMatchesScalarEveryLength) {
+  if (!detail::sha256_shani_supported()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  }
+  const auto data = random_bytes(8192 + 1, 22);
+  for (const std::size_t n : differential_lengths()) {
+    const ByteSpan msg = ByteSpan(data).first(n);
+    ASSERT_EQ(digest_with(&detail::sha256_compress_shani, msg),
+              scalar_digest(msg))
+        << "length " << n;
+  }
+}
+
+TEST(Sha256Compress, EveryTwoWaySplitMatchesScalar) {
+  const auto data = random_bytes(300, 24);
+  const Sha256Digest expected = scalar_digest(as_bytes(data));
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Sha256 h;
+    h.update(ByteSpan(data).first(split));
+    h.update(ByteSpan(data).subspan(split));
+    ASSERT_EQ(h.finish(), expected) << "split at " << split;
+  }
+}
+
+TEST(Sha256Compress, CarriedContextAcrossThreeUpdatesMatchesScalar) {
+  // fingerprint_on_gpu carries an open chunk's context from one buffer to
+  // the next by copying it; do the same with uneven pieces that straddle
+  // block boundaries.
+  const auto data = random_bytes(3 * 1000 + 77, 25);
+  const std::size_t cuts[] = {0, 1000 + 13, 2 * 1000 + 64, data.size()};
+  Sha256 carry;
+  for (int piece = 0; piece < 3; ++piece) {
+    Sha256 ctx = carry;
+    ctx.update(
+        ByteSpan(data).subspan(cuts[piece], cuts[piece + 1] - cuts[piece]));
+    carry = ctx;
+  }
+  EXPECT_EQ(carry.finish(), scalar_digest(as_bytes(data)));
 }
 
 // --- ChunkIndex ---
@@ -360,6 +470,33 @@ TEST(ChunkStore, AddRefCounts) {
 }
 
 // --- Deduplicator ---
+
+// --- hash_chunks: the backup walk's one host-hash path ---
+
+TEST(HashChunks, PoolAndSerialMatchChunkHasher) {
+  const auto data = random_bytes(256 * 1024, 13);
+  chunking::ChunkerConfig cfg;
+  cfg.window = 16;
+  cfg.mask_bits = 8;
+  cfg.marker = 0x42;
+  const rabin::RabinTables tables(cfg.window);
+  const auto chunks = chunking::chunk_serial(tables, cfg, as_bytes(data));
+  std::vector<ChunkDigest> expected;
+  for (const auto& c : chunks) {
+    expected.push_back(ChunkHasher::hash(
+        ByteSpan(data).subspan(static_cast<std::size_t>(c.offset),
+                               static_cast<std::size_t>(c.size))));
+  }
+  ThreadPool pool(3);
+  EXPECT_EQ(hash_chunks(nullptr, as_bytes(data), chunks), expected);
+  EXPECT_EQ(hash_chunks(&pool, as_bytes(data), chunks), expected);
+  const std::vector<chunking::Chunk> out_of_range = {{50, 100}};
+  const auto small = random_bytes(100, 14);
+  EXPECT_THROW(hash_chunks(nullptr, as_bytes(small), out_of_range),
+               std::invalid_argument);
+  EXPECT_THROW(hash_chunks(&pool, as_bytes(small), out_of_range),
+               std::invalid_argument);
+}
 
 TEST(Deduplicator, FirstIngestAllUnique) {
   const auto data = random_bytes(256 * 1024, 7);
