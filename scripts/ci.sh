@@ -4,7 +4,7 @@
 #   2. strict build + full test suite (-Werror; clang adds
 #      -Werror=thread-safety over the annotations in src/common/annotations.h)
 #   3. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
-#   4. microbench smokes
+#   4. microbench smokes, then the repo benchmark's chunk_stream gates
 #   5. ASan/UBSan lane (unaligned loads, arena-backed block chains)
 #   6. TSan lane over the concurrency-heavy suites (queues, thread pool,
 #      obs registry/tracer, multi-tenant service, transport)
@@ -109,6 +109,15 @@ if [ -x "$BUILD_DIR/microbench" ]; then
 else
   echo "microbench not built (google-benchmark missing): skipping retention smoke"
 fi
+
+echo "=== repo benchmark smoke (chunk_stream gates + perfbench tests) ==="
+# A one-second chunk_stream run enforces the benchmark's chunks_equal_serial
+# and virtual_repeats_exactly gates (run.py exits non-zero when a gate
+# fails), then perfbench's own unit tests run against the same build.
+python3 perfbench/run.py --workload chunk_stream --seed 1 --seconds 1 --trace 0
+PERFBENCH_DIR="${CARGO_TARGET_DIR:-.bench_build}/perfbench"
+cmake --build "$PERFBENCH_DIR" -j "$JOBS" --target perfbench_test
+ctest --test-dir "$PERFBENCH_DIR" --output-on-failure -R '^perfbench'
 
 echo "=== ASan/UBSan build (chunking + fingerprint + index + wire + obs stack) ==="
 SAN_DIR="${BUILD_DIR}-asan"

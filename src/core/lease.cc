@@ -91,6 +91,11 @@ SlotLease SlotLease::from_slot(std::shared_ptr<detail::SlotPool> pool,
   return SlotLease(std::move(rep), ByteSpan{storage.data(), len});
 }
 
+SlotLease SlotLease::first(std::size_t n) const {
+  SHREDDER_CHECK_MSG(n <= span_.size(), "SlotLease: prefix exceeds the view");
+  return SlotLease(rep_, span_.first(n));
+}
+
 bool SlotLease::slot_backed() const noexcept {
   return rep_ != nullptr && rep_->slot_backed;
 }

@@ -59,7 +59,6 @@ class SlotPool {
   double construction_cost_seconds() const noexcept {
     return ring_.construction_cost_seconds();
   }
-  std::size_t slots() const noexcept { return ring_.slots(); }
   // Leases currently outstanding (slot-leak checks in tests).
   std::size_t leased() const;
 
@@ -105,6 +104,8 @@ class SlotLease {
                              std::size_t slot, std::size_t len);
 
   ByteSpan bytes() const noexcept { return span_; }
+  // The first `n` bytes of this view, sharing its storage.
+  SlotLease first(std::size_t n) const;
   std::size_t size() const noexcept { return span_.size(); }
   bool empty() const noexcept { return span_.empty(); }
   bool slot_backed() const noexcept;

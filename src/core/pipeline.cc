@@ -1,6 +1,6 @@
 #include "core/pipeline.h"
 
-#include <cstring>
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -164,45 +164,66 @@ void PipelineEngine::record_error_and_unblock() {
 bool PipelineEngine::submit(StreamBuffer buf) {
   SHREDDER_CHECK_MSG(!buf.eos || buf.data.empty(),
                      "PipelineEngine: eos buffers must carry no data");
-  StagedItem item;
-  item.data_len = buf.carry_prefix.size() + buf.data.size();
-  if (m_buffers_ != nullptr && !buf.eos) {
-    m_buffers_->add(1);
-    m_bytes_->add(buf.data.size());  // payload only; carry bytes are repeats
+  if (buf.eos) {
+    StagedItem item;
+    item.meta = std::move(buf);
+    return to_transfer_.push(std::move(item));
   }
-  if (pipelined() && !buf.eos) {
-    const auto slot = pool_->acquire();
+  const std::size_t len = buf.carry_prefix.size() + buf.data.size();
+  std::optional<WritableSlot> slot;
+  if (pipelined()) {
+    slot = lease_slot();
     if (!slot.has_value()) return false;
-    auto span = pool_->slot_span(*slot);
-    SHREDDER_CHECK(item.data_len <= span.size());
-    if (!buf.carry_prefix.empty()) {
-      std::memcpy(span.data(), buf.carry_prefix.data(),
-                  buf.carry_prefix.size());
-    }
-    if (!buf.data.empty()) {
-      std::memcpy(span.data() + buf.carry_prefix.size(), buf.data.data(),
-                  buf.data.size());
-    }
-    // The staged bytes live in the pinned slot now; the lease is the ONLY
-    // host copy, travelling with the item all the way to the consumer as
-    // BoundaryBatch::payload. No second splice, no return_payload copy.
-    item.lease = SlotLease::from_slot(pool_, *slot, item.data_len);
-    buf.carry += buf.carry_prefix.size();
-    buf.data = ByteVec{};
-    buf.carry_prefix = ByteVec{};
-  } else if (!buf.eos && !buf.carry_prefix.empty()) {
+    SHREDDER_CHECK(len <= slot->bytes.size());
+    const auto out = std::copy(buf.carry_prefix.begin(),
+                               buf.carry_prefix.end(), slot->bytes.begin());
+    std::copy(buf.data.begin(), buf.data.end(), out);
+  } else {
     // Basic (pageable) mode DMAs straight from host memory, which must be
-    // one contiguous span: splice prefix + payload here.
+    // one contiguous span: keep `data` as is, or splice prefix + payload.
     ByteVec staged;
-    staged.reserve(item.data_len);
-    staged.insert(staged.end(), buf.carry_prefix.begin(),
-                  buf.carry_prefix.end());
-    staged.insert(staged.end(), buf.data.begin(), buf.data.end());
-    buf.carry += buf.carry_prefix.size();
-    buf.carry_prefix = ByteVec{};
-    buf.data = std::move(staged);
+    if (buf.carry_prefix.empty()) {
+      staged = std::move(buf.data);
+    } else {
+      staged.reserve(len);
+      staged.insert(staged.end(), buf.carry_prefix.begin(),
+                    buf.carry_prefix.end());
+      staged.insert(staged.end(), buf.data.begin(), buf.data.end());
+    }
+    const MutableByteSpan bytes(staged);
+    slot = WritableSlot{SlotLease::from_owned(std::move(staged)), bytes};
   }
-  item.meta = std::move(buf);
+  buf.carry += buf.carry_prefix.size();
+  buf.data = ByteVec{};
+  buf.carry_prefix = ByteVec{};
+  return submit_slot(std::move(*slot), len, std::move(buf));
+}
+
+std::optional<WritableSlot> PipelineEngine::lease_slot() {
+  if (!pipelined()) {
+    // The paper's pageable baseline: a fresh vector per buffer, whose heap
+    // block (and so `bytes`) survives the move into the lease.
+    ByteVec owned(config_.slot_bytes);
+    const MutableByteSpan bytes(owned);
+    return WritableSlot{SlotLease::from_owned(std::move(owned)), bytes};
+  }
+  const auto slot = pool_->acquire();
+  if (!slot.has_value()) return std::nullopt;
+  return WritableSlot{SlotLease::from_slot(pool_, *slot, config_.slot_bytes),
+                      pool_->slot_span(*slot)};
+}
+
+bool PipelineEngine::submit_slot(WritableSlot slot, std::size_t len,
+                                 StreamBuffer meta) {
+  SHREDDER_CHECK(!meta.eos && meta.data.empty() && meta.carry_prefix.empty());
+  SHREDDER_CHECK(meta.carry <= len && len <= slot.bytes.size());
+  StagedItem item;
+  item.data_len = len;
+  // The staged bytes live in the slot; the lease is the ONLY host copy,
+  // travelling with the item all the way to the consumer as
+  // BoundaryBatch::payload.
+  item.lease = slot.lease.first(len);
+  item.meta = std::move(meta);
   // On push failure the moved-from item is destroyed inside push(); its
   // lease drops and the slot recycles automatically.
   return to_transfer_.push(std::move(item));
@@ -218,15 +239,11 @@ void PipelineEngine::transfer_loop() {
         if (!to_kernel_.push(std::move(*item))) return;
         continue;
       }
-      const ByteSpan dma_src = item->lease
-                                   ? item->lease.bytes()
-                                   : ByteSpan{item->meta.data.data(),
-                                              item->data_len};
       if (!acquire_twin()) return;
       item->dev_slot = next_twin;
       next_twin = (next_twin + 1) % twins_.size();
-      item->transfer_seconds =
-          device_.memcpy_h2d(twins_[item->dev_slot], 0, dma_src, host_kind_);
+      item->transfer_seconds = device_.memcpy_h2d(
+          twins_[item->dev_slot], 0, item->lease.bytes(), host_kind_);
       // The slot is NOT released here: the lease rides to the kernel stage
       // and out with the batch, recycling when its last holder drops it.
       if (!to_kernel_.push(std::move(*item))) return;
@@ -316,6 +333,9 @@ void PipelineEngine::kernel_loop() {
       batch.sched_credit = item->meta.sched_credit;
       batch.queue_depth = item->meta.queue_depth;
       if (m_reader_s_ != nullptr) {
+        m_buffers_->add(1);
+        // Payload only; carry bytes repeat the previous buffer's tail.
+        m_bytes_->add(item->data_len - item->meta.carry);
         m_reader_s_->observe(batch.stages.reader);
         m_h2d_s_->observe(batch.stages.transfer);
         m_kernel_s_->observe(batch.stages.kernel);
@@ -330,11 +350,9 @@ void PipelineEngine::kernel_loop() {
         }
       }
       // The staged bytes always ride back with the batch: slot-backed lease
-      // in streams modes, the already-spliced host vector in basic mode.
-      // Non-retaining consumers drop the batch and the storage frees itself.
-      batch.payload = item->lease
-                          ? std::move(item->lease)
-                          : SlotLease::from_owned(std::move(item->meta.data));
+      // in streams modes, an owned host vector in basic mode. Non-retaining
+      // consumers drop the batch and the storage frees itself.
+      batch.payload = std::move(item->lease);
       batch.payload_carry = item->meta.carry;
       release_twin();
       if (!to_store_.push(std::move(batch))) return;

@@ -11,10 +11,16 @@
 // Stage layout (each arrow is a bounded queue; depth bounds the buffers in
 // flight, exactly like Figure 8's ring):
 //
-//   submit() ──copy into leased pinned slot──► transfer thread
-//     (H2D DMA into a free device twin)
+//   submit() ──copy into leased pinned slot──┐
+//   lease_slot() → producer reads in place ──┴► submit_slot() ──► transfer
+//     thread (H2D DMA into a free device twin)
 //   ──► kernel thread (chunk_on_gpu [+ fingerprint_on_gpu]) ──►
 //       next_batch() on the caller (batch carries the slot's SlotLease)
+//
+// The ring, twins and stage threads are built once and serve stream after
+// stream (§4.1.2): the service multiplexes many streams over one engine,
+// and Shredder keeps one engine for all its runs, each one eos-terminated
+// stream.
 //
 // With config.fingerprint set, the kernel thread runs a second device
 // kernel per buffer: it resolves the final (min/max-filtered) chunk ends on
@@ -79,10 +85,11 @@ struct StageSeconds {
 
 // A unit of pipeline work tagged with the client stream that produced it.
 // The staged bytes are carry_prefix ++ data: producers that already hold
-// carry and payload contiguously (AsyncReader) put everything in `data` and
-// set `carry`; producers with a separate window-context tail (the service
-// scheduler) pass it via `carry_prefix` and the engine splices the two
-// directly into the pinned slot — no concatenation copy on the hot path.
+// carry and payload contiguously put everything in `data` and set `carry`;
+// producers with a separate window-context tail (the service scheduler)
+// pass it via `carry_prefix` and the engine splices the two directly into
+// the staging slot — no concatenation copy on the hot path. Producers that
+// fill a leased slot in place (submit_slot) leave both empty.
 struct StreamBuffer {
   std::uint32_t stream_id = 0;
   std::uint64_t seq = 0;          // per-stream buffer sequence number
@@ -157,6 +164,13 @@ void for_each_fingerprinted_chunk(const BoundaryBatch& batch,
   }
 }
 
+// A staging slot leased to a producer that fills it in place: `bytes` is
+// kept alive by `lease`, so a slot dropped unsubmitted returns to the ring.
+struct WritableSlot {
+  SlotLease lease;
+  MutableByteSpan bytes;
+};
+
 struct PipelineEngineConfig {
   GpuMode mode = GpuMode::kStreamsCoalesced;
   std::size_t slot_bytes = 0;  // staging slot size = buffer_bytes + (w-1)
@@ -194,6 +208,14 @@ class PipelineEngine {
   // shut down. Buffers of one stream must be submitted in stream order.
   bool submit(StreamBuffer buf);
 
+  // In-place staging: lease_slot() blocks like submit() for a free pinned
+  // slot (basic mode: a fresh pageable vector); nullopt once the engine is
+  // stopping. The producer writes carry ++ payload into slot.bytes, then
+  // submit_slot() queues its first `len` bytes under `meta` (meta.carry =
+  // leading context bytes; data, carry_prefix empty); false once shut down.
+  std::optional<WritableSlot> lease_slot();
+  bool submit_slot(WritableSlot slot, std::size_t len, StreamBuffer meta);
+
   // Signals end of all submissions; next_batch() drains and then returns
   // nullopt.
   void close();
@@ -209,16 +231,15 @@ class PipelineEngine {
 
   // One-time pinned-ring construction cost (streams modes only).
   double init_seconds() const noexcept { return init_seconds_; }
-  std::size_t ring_slots() const noexcept { return config_.ring_slots; }
   bool pipelined() const noexcept { return config_.mode != GpuMode::kBasic; }
   // Pinned slots currently held by a lease — in-flight pipeline items plus
   // whatever consumers retain. 0 in basic mode and after full drains.
   std::size_t slots_leased() const;
 
  private:
-  // A StreamBuffer whose payload has been staged into a leased pinned slot
-  // (streams modes; `lease` keeps the slot alive through DMA and beyond) or
-  // left in `meta.data` (basic mode).
+  // A StreamBuffer whose payload has been staged: `lease` holds the bytes
+  // (a pinned slot in streams modes, an owned pageable vector in basic
+  // mode) through DMA and beyond. Empty for eos markers.
   struct StagedItem {
     StreamBuffer meta;
     SlotLease lease;

@@ -34,8 +34,50 @@ Shredder::Shredder(ShredderConfig config)
   device_ = std::make_unique<gpu::Device>(config_.device, config_.sim_threads);
 }
 
+namespace {
+
+// The Reader stage (paper §5.2.1): reads `source` in pieces of up to
+// `buffer_bytes` straight into leased staging slots, each behind the
+// previous piece's last `carry_bytes` so chunk windows spanning seams are
+// never lost, then submits the stream's eos. Returns early if the engine
+// stops.
+void stage_stream(DataSource& source, PipelineEngine& engine,
+                  std::size_t buffer_bytes, std::size_t carry_bytes) {
+  ByteVec carry;
+  std::uint64_t offset = 0;  // stream bytes read so far
+  std::uint64_t seq = 0;
+  for (;; ++seq) {
+    auto slot = engine.lease_slot();
+    if (!slot.has_value()) return;
+    std::copy(carry.begin(), carry.end(), slot->bytes.begin());
+    const std::size_t got =
+        source.read(slot->bytes.subspan(carry.size(), buffer_bytes));
+    if (got == 0) break;
+    StreamBuffer sb;
+    sb.seq = seq;
+    sb.carry = carry.size();
+    sb.base_offset = offset - carry.size();
+    sb.reader_seconds = source.read_seconds(got);
+    const std::size_t len = carry.size() + got;
+    const ByteSpan tail =
+        slot->bytes.first(len).last(std::min(carry_bytes, len));
+    carry.assign(tail.begin(), tail.end());
+    offset += got;
+    if (!engine.submit_slot(std::move(*slot), len, std::move(sb))) return;
+  }
+  // eos: base_offset carries the stream's total byte count.
+  StreamBuffer eos;
+  eos.seq = seq;
+  eos.eos = true;
+  eos.base_offset = offset;
+  engine.submit(std::move(eos));
+}
+
+}  // namespace
+
 ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
                                   ByteSpan whole) {
+  MutexLock run_lock(run_mutex_);
   const Stopwatch wall;
   ShredderResult result;
   const std::size_t carry_bytes = config_.chunker.window - 1;
@@ -46,14 +88,18 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
   const bool rolling =
       whole.empty() && sink != nullptr && sink->wants_payload();
 
-  PipelineEngineConfig engine_cfg;
-  engine_cfg.mode = config_.mode;
-  engine_cfg.slot_bytes = config_.buffer_bytes + carry_bytes;
-  engine_cfg.ring_slots = config_.ring_slots;
-  engine_cfg.kernel = config_.kernel;
-  engine_cfg.fingerprint = fingerprint;
-  engine_cfg.registry = config_.registry;
-  PipelineEngine engine(engine_cfg, *device_, tables_, config_.chunker);
+  if (engine_ == nullptr) {
+    PipelineEngineConfig engine_cfg;
+    engine_cfg.mode = config_.mode;
+    engine_cfg.slot_bytes = config_.buffer_bytes + carry_bytes;
+    engine_cfg.ring_slots = config_.ring_slots;
+    engine_cfg.kernel = config_.kernel;
+    engine_cfg.fingerprint = fingerprint;
+    engine_cfg.registry = config_.registry;
+    engine_ = std::make_unique<PipelineEngine>(engine_cfg, *device_, tables_,
+                                               config_.chunker);
+  }
+  PipelineEngine& engine = *engine_;
   result.init_seconds = engine.init_seconds();
   obs::Timing* m_store_s =
       config_.registry != nullptr
@@ -110,9 +156,9 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
   };
 
   // --- The pipeline ---
-  // Reader runs inside AsyncReader's thread; a feeder thread stages its
-  // buffers into the engine (transfer + kernel threads live inside it);
-  // the Store stage runs on this thread, matching Figure 8's four stages.
+  // A feeder thread runs the Reader stage into the engine (transfer +
+  // kernel threads live inside it); the Store stage runs on this thread,
+  // matching Figure 8's four stages.
   std::vector<StageSeconds> stage_log;
   std::uint64_t total_bytes = 0;
   std::uint64_t n_buffers = 0;
@@ -120,42 +166,18 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
   std::exception_ptr feed_error;
   std::thread feeder([&] {
     try {
-      AsyncReader reader(source, config_.buffer_bytes, carry_bytes,
-                         /*queue_depth=*/pipelined ? config_.ring_slots : 1);
-      std::uint64_t submitted_end = 0;
-      std::uint64_t next_seq = 0;
-      while (auto buf = reader.next()) {
-        StreamBuffer sb;
-        sb.stream_id = 0;
-        sb.seq = buf->index;
-        sb.carry = buf->carry;
-        sb.base_offset = buf->stream_offset - buf->carry;
-        sb.reader_seconds = buf->read_seconds;
-        sb.data = std::move(buf->data);
-        submitted_end = sb.base_offset + sb.data.size();
-        next_seq = sb.seq + 1;
-        if (!engine.submit(std::move(sb))) return;
-      }
-      if (fingerprint) {
-        // The trailing chunk only closes at end of stream; tell the engine.
-        StreamBuffer eos;
-        eos.stream_id = 0;
-        eos.seq = next_seq;
-        eos.eos = true;
-        eos.base_offset = submitted_end;
-        if (!engine.submit(std::move(eos))) return;
-      }
-      engine.close();
+      stage_stream(source, engine, config_.buffer_bytes, carry_bytes);
     } catch (...) {
       feed_error = std::current_exception();
-      engine.close();
+      engine.close();  // drains what was staged, then ends the store loop
     }
   });
 
-  // Store stage runs on this thread. A pipeline-stage failure surfaces as a
-  // rethrow from next_batch(); capture it so the feeder thread can be
-  // unblocked and joined before the exception propagates.
+  // Store stage runs on this thread until the eos batch. A pipeline-stage
+  // failure surfaces as a rethrow from next_batch(); capture it so the
+  // feeder thread can be unblocked and joined before the exception propagates.
   std::exception_ptr store_error;
+  bool eos_seen = false;
   // Emits the batch's finalized chunks with their device digests.
   const auto emit_fingerprinted = [&](const BoundaryBatch& batch) {
     for_each_fingerprinted_chunk(
@@ -170,9 +192,10 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
     total_bytes = batch->payload_end;
     const std::size_t batch_first = chunks.size();
     if (batch->eos) {
-      // Fingerprint mode: the stream's trailing chunk closes here. Its
-      // digest still crosses the bus, so account the D2H even though the
-      // eos batch carries no boundaries.
+      // The stream's trailing chunk closes here: in the host filter, or on
+      // the device in fingerprint mode, whose digest still crosses the bus,
+      // so account the D2H even though the eos batch carries no boundaries.
+      if (!fingerprint) filter->finish(total_bytes);
       if (!batch->digests.empty()) {
         batch->stages.store = store_stage_seconds(
             config_.device, 0, pipelined,
@@ -181,7 +204,8 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
       }
       emit_fingerprinted(*batch);
       deliver(batch_first, /*eos=*/true);
-      continue;
+      eos_seen = true;
+      break;
     }
     if (rolling && !batch->payload.empty()) {
       // Zero-copy retention: the batch's lease moves into the tail, keeping
@@ -215,14 +239,12 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
     engine.stop();  // wakes a feeder blocked on a slot lease
   }
   feeder.join();
-  if (store_error) std::rethrow_exception(store_error);
-  if (feed_error) std::rethrow_exception(feed_error);
-
-  if (!fingerprint) {
-    const std::size_t batch_first = chunks.size();
-    filter->finish(total_bytes);
-    deliver(batch_first, /*eos=*/true);
+  if (store_error || feed_error) {
+    // The engine may be stopped or mid-stream; the next run rebuilds it.
+    engine_.reset();
+    std::rethrow_exception(store_error ? store_error : feed_error);
   }
+  SHREDDER_CHECK_MSG(eos_seen, "Shredder: pipeline ended before end of stream");
 
   // --- Reporting ---
   result.chunks = std::move(chunks);

@@ -15,6 +15,11 @@
 //                     streaming pipeline                          (§4.1–4.2)
 //   kStreamsCoalesced kStreams + memory-coalesced kernel          (§4.3)
 //
+// A Shredder keeps one PipelineEngine for its whole life, so the pinned
+// ring, the device twins and the stage threads are allocated once and each
+// run is one eos-terminated stream on them (§4.1.2). Concurrent runs on one
+// Shredder are serialised.
+//
 // Every run does the real work on real bytes (the returned chunks are
 // bit-identical to chunking::chunk_serial) and additionally reports virtual
 // timings under the calibrated C2050 model so CPU/GPU comparisons reproduce
@@ -28,6 +33,7 @@
 #include <vector>
 
 #include "chunking/chunk.h"
+#include "common/mutex.h"
 #include "core/kernels.h"
 #include "core/pipeline.h"
 #include "core/sink.h"
@@ -56,9 +62,10 @@ struct ShredderConfig {
   // second kernel while its buffer is still resident, and the result carries
   // one digest per chunk (bit-identical to host dedup::Sha256).
   bool fingerprint_on_device = false;
-  // Optional metrics registry (borrowed; must outlive the Shredder's runs).
-  // Forwarded to the pipeline engine, which publishes pipeline.* counters
-  // and stage timings; the store stage adds core.store_seconds. Virtual-time
+  // Optional metrics registry (borrowed; must outlive the Shredder, whose
+  // engine keeps its metric handles between runs). Forwarded to the pipeline
+  // engine, which publishes pipeline.* counters and stage timings; the store
+  // stage adds core.store_seconds. Virtual-time
   // *tracing* runs through the service path (a 1-tenant ChunkingService is
   // the single-stream trace) — see docs/observability.md.
   obs::Registry* registry = nullptr;
@@ -133,6 +140,10 @@ class Shredder {
   ShredderConfig config_;
   rabin::RabinTables tables_;
   std::unique_ptr<gpu::Device> device_;
+  Mutex run_mutex_;
+  // Built by the first run, kept across runs, dropped after a failed one.
+  // Declared after the device, tables and config it borrows.
+  std::unique_ptr<PipelineEngine> engine_ GUARDED_BY(run_mutex_);
 };
 
 // Host-only parallel chunking with the same result/report shape, for the

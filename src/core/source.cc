@@ -1,5 +1,7 @@
 #include "core/source.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
@@ -35,10 +37,13 @@ FileSource::FileSource(const std::string& path, double channel_bw)
   if (file_ == nullptr) {
     throw std::runtime_error("FileSource: cannot open " + path);
   }
-  std::fseek(file_, 0, SEEK_END);
-  const long size = std::ftell(file_);
-  std::fseek(file_, 0, SEEK_SET);
-  total_ = size > 0 ? static_cast<std::uint64_t>(size) : 0;
+  // fopen succeeds on a directory, whose reads then return 0 as if empty.
+  struct stat st {};
+  if (::fstat(::fileno(file_), &st) != 0 || !S_ISREG(st.st_mode)) {
+    std::fclose(file_);
+    throw std::runtime_error("FileSource: not a regular file: " + path);
+  }
+  total_ = static_cast<std::uint64_t>(st.st_size);
 }
 
 FileSource::~FileSource() {
@@ -46,7 +51,11 @@ FileSource::~FileSource() {
 }
 
 std::size_t FileSource::read(MutableByteSpan dst) {
-  return std::fread(dst.data(), 1, dst.size(), file_);
+  const std::size_t n = std::fread(dst.data(), 1, dst.size(), file_);
+  if (std::ferror(file_) != 0) {
+    throw std::runtime_error("FileSource: read error");
+  }
+  return n;
 }
 
 double FileSource::read_seconds(std::uint64_t bytes) const {
@@ -88,55 +97,5 @@ std::size_t SyntheticSource::read(MutableByteSpan dst) {
 double SyntheticSource::read_seconds(std::uint64_t bytes) const {
   return static_cast<double>(bytes) / channel_bw_;
 }
-
-AsyncReader::AsyncReader(DataSource& source, std::size_t payload_bytes,
-                         std::size_t carry_bytes, std::size_t queue_depth)
-    : queue_(queue_depth) {
-  if (payload_bytes == 0) {
-    throw std::invalid_argument("AsyncReader: payload_bytes must be > 0");
-  }
-  if (carry_bytes >= payload_bytes) {
-    throw std::invalid_argument("AsyncReader: carry must be < payload");
-  }
-  thread_ = std::thread([this, &source, payload_bytes, carry_bytes] {
-    run(source, payload_bytes, carry_bytes);
-  });
-}
-
-AsyncReader::~AsyncReader() {
-  queue_.close();
-  if (thread_.joinable()) thread_.join();
-}
-
-void AsyncReader::run(DataSource& source, std::size_t payload_bytes,
-                      std::size_t carry_bytes) {
-  ByteVec carry;
-  std::uint64_t index = 0;
-  std::uint64_t offset = 0;
-  for (;;) {
-    ReadBuffer buf;
-    buf.index = index;
-    buf.carry = carry.size();
-    buf.stream_offset = offset;
-    buf.data.resize(carry.size() + payload_bytes);
-    std::copy(carry.begin(), carry.end(), buf.data.begin());
-    const std::size_t got =
-        source.read({buf.data.data() + carry.size(), payload_bytes});
-    if (got == 0) break;
-    buf.data.resize(carry.size() + got);
-    buf.read_seconds = source.read_seconds(got);
-    // Keep the last carry_bytes of the payload for the next buffer's window
-    // context.
-    const std::size_t keep = std::min(carry_bytes, buf.data.size());
-    carry.assign(buf.data.end() - static_cast<std::ptrdiff_t>(keep),
-                 buf.data.end());
-    offset += got;
-    ++index;
-    if (!queue_.push(std::move(buf))) return;  // consumer went away
-  }
-  queue_.close();
-}
-
-std::optional<ReadBuffer> AsyncReader::next() { return queue_.pop(); }
 
 }  // namespace shredder::core

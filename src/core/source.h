@@ -2,22 +2,16 @@
 //
 // The paper's Reader consumes a SAN stream at ~2 GB/s via asynchronous I/O.
 // Here a DataSource hands out sequential buffers and reports the *modelled*
-// read time per buffer; AsyncReader runs a background thread that prefetches
-// buffers ahead of the consumer, which is the lio_listio-style overlap of
-// §5.2.1.
+// read time per buffer. Shredder's reader reads each buffer straight into a
+// leased pinned ring slot while earlier buffers are still in the pipeline,
+// which is the lio_listio-style overlap of §5.2.1.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/bytes.h"
-#include "common/queue.h"
-#include "gpusim/spec.h"
 
 namespace shredder::core {
 
@@ -53,8 +47,9 @@ class MemorySource final : public DataSource {
   double channel_bw_;
 };
 
-// Reads a file from the local filesystem at a modelled channel bandwidth.
-// Throws std::runtime_error if the file cannot be opened.
+// Reads a regular file at a modelled channel bandwidth. Throws
+// std::runtime_error if the path is not an openable regular file, and from
+// read() on an I/O error rather than reporting it as end of stream.
 class FileSource final : public DataSource {
  public:
   FileSource(const std::string& path, double channel_bw);
@@ -88,38 +83,6 @@ class SyntheticSource final : public DataSource {
   std::uint64_t produced_ = 0;
   std::uint64_t seed_;
   double channel_bw_;
-};
-
-// A buffer handed from the reader to the rest of the pipeline.
-struct ReadBuffer {
-  std::uint64_t index = 0;        // sequence number
-  std::uint64_t stream_offset = 0;  // absolute offset of payload[carry..]
-  std::size_t carry = 0;          // leading window-context bytes (w-1)
-  ByteVec data;                   // carry + payload
-  double read_seconds = 0;        // modelled reader time for the payload
-};
-
-// Background prefetching reader: fills ReadBuffers of `payload_bytes` each,
-// prefixing every buffer with the last `carry_bytes` of the previous one so
-// chunk windows spanning buffer seams are never lost.
-class AsyncReader {
- public:
-  AsyncReader(DataSource& source, std::size_t payload_bytes,
-              std::size_t carry_bytes, std::size_t queue_depth = 4);
-  ~AsyncReader();
-
-  AsyncReader(const AsyncReader&) = delete;
-  AsyncReader& operator=(const AsyncReader&) = delete;
-
-  // Next buffer in stream order; nullopt at end of stream.
-  std::optional<ReadBuffer> next();
-
- private:
-  void run(DataSource& source, std::size_t payload_bytes,
-           std::size_t carry_bytes);
-
-  BoundedQueue<ReadBuffer> queue_;
-  std::thread thread_;
 };
 
 }  // namespace shredder::core

@@ -5,8 +5,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <thread>
+#include <tuple>
 
 #include "chunking/cdc.h"
 #include "core/kernels.h"
@@ -15,7 +17,9 @@
 #include "core/source.h"
 #include "common/rng.h"
 #include "dedup/digest.h"
+#include "dedup/sha256.h"
 #include "gpusim/dma.h"
+#include "obs/registry.h"
 
 namespace shredder::core {
 namespace {
@@ -104,6 +108,12 @@ TEST(FileSource, MissingFileThrows) {
   EXPECT_THROW(FileSource("/no/such/file/exists", 2e9), std::runtime_error);
 }
 
+TEST(FileSource, DirectoryThrows) {
+  // fopen succeeds on a directory and its reads return 0, which used to
+  // chunk as an empty stream.
+  EXPECT_THROW(FileSource(::testing::TempDir(), 2e9), std::runtime_error);
+}
+
 TEST(FileSource, EndToEndThroughShredder) {
   const auto data = random_bytes(150000, 3);
   const std::string path = ::testing::TempDir() + "/shredder_filesource_e2e";
@@ -128,44 +138,6 @@ TEST(SyntheticSource, DifferentSeedsDiffer) {
   a.read({va.data(), va.size()});
   b.read({vb.data(), vb.size()});
   EXPECT_NE(va, vb);
-}
-
-TEST(AsyncReader, ReassemblesStreamWithCarry) {
-  const auto data = random_bytes(100000, 5);
-  MemorySource src(as_bytes(data), 2e9);
-  AsyncReader reader(src, 8192, 15);
-  ByteVec reassembled;
-  std::uint64_t expect_offset = 0;
-  std::uint64_t index = 0;
-  while (auto buf = reader.next()) {
-    EXPECT_EQ(buf->index, index++);
-    EXPECT_EQ(buf->stream_offset, expect_offset);
-    if (buf->index == 0) {
-      EXPECT_EQ(buf->carry, 0u);
-    } else {
-      EXPECT_EQ(buf->carry, 15u);
-    }
-    // Carry must equal the previous payload's tail.
-    const ByteSpan payload{buf->data.data() + buf->carry,
-                           buf->data.size() - buf->carry};
-    reassembled.insert(reassembled.end(), payload.begin(), payload.end());
-    if (buf->carry > 0) {
-      EXPECT_TRUE(std::equal(
-          buf->data.begin(),
-          buf->data.begin() + static_cast<std::ptrdiff_t>(buf->carry),
-          data.begin() +
-              static_cast<std::ptrdiff_t>(buf->stream_offset - buf->carry)));
-    }
-    expect_offset += payload.size();
-  }
-  EXPECT_EQ(reassembled, data);
-}
-
-TEST(AsyncReader, RejectsBadGeometry) {
-  const auto data = random_bytes(100, 1);
-  MemorySource src(as_bytes(data), 2e9);
-  EXPECT_THROW(AsyncReader(src, 0, 0), std::invalid_argument);
-  EXPECT_THROW(AsyncReader(src, 100, 100), std::invalid_argument);
 }
 
 // --- GPU kernels: functional equivalence with serial scan ---
@@ -368,14 +340,275 @@ TEST(Shredder, EmptyInputYieldsNoChunks) {
 
 TEST(Shredder, ConfigValidation) {
   ShredderConfig cfg = small_config();
-  cfg.buffer_bytes = 4;
-  EXPECT_THROW(Shredder{cfg}, std::invalid_argument);
+  // A buffer must hold more than the w-1 carried context bytes.
+  const std::size_t w = cfg.chunker.window;
+  for (const std::size_t bad : {std::size_t{0}, std::size_t{4}, w - 1, w,
+                                2 * w - 1}) {
+    cfg.buffer_bytes = bad;
+    EXPECT_THROW(Shredder{cfg}, std::invalid_argument) << bad;
+  }
   cfg = small_config();
   cfg.ring_slots = 0;
   EXPECT_THROW(Shredder{cfg}, std::invalid_argument);
   cfg = small_config();
   cfg.kernel.blocks = 0;
   EXPECT_THROW(Shredder{cfg}, std::invalid_argument);
+}
+
+// --- Persistent engine: reuse, recovery, carry seams ---
+
+// Collects every delivered chunk's bytes and checks each batch's payload
+// window against the stream it was cut from.
+class StreamCheckSink final : public ChunkSink {
+ public:
+  explicit StreamCheckSink(ByteSpan stream) : stream_(stream) {}
+
+  void on_batch(const ChunkBatchView& batch) override {
+    if (batch.has_payload()) {
+      windows.emplace_back(batch.payload_base, batch.payload.size());
+      const auto base = static_cast<std::size_t>(batch.payload_base);
+      ASSERT_LE(base + batch.payload.size(), stream_.size());
+      EXPECT_TRUE(std::equal(batch.payload.begin(), batch.payload.end(),
+                             stream_.subspan(base).begin()))
+          << "payload window at " << base;
+    }
+    for (std::size_t i = 0; i < batch.chunks.size(); ++i) {
+      const ByteSpan bytes = batch.chunk_bytes(i);
+      reassembled.insert(reassembled.end(), bytes.begin(), bytes.end());
+    }
+    if (batch.eos) ++eos_batches;
+  }
+  bool wants_payload() const noexcept override { return true; }
+
+  ByteVec reassembled;
+  std::size_t eos_batches = 0;
+  // (payload_base, size) of every delivered payload window.
+  std::vector<std::pair<std::uint64_t, std::size_t>> windows;
+
+ private:
+  ByteSpan stream_;
+};
+
+ByteVec synthetic_bytes(std::uint64_t total, std::uint64_t seed) {
+  SyntheticSource src(total, seed, 2e9);
+  ByteVec out(total);
+  EXPECT_EQ(src.read({out.data(), out.size()}), total);
+  return out;
+}
+
+void expect_digests_match(const ShredderResult& r, ByteSpan data) {
+  ASSERT_EQ(r.digests.size(), r.chunks.size());
+  for (std::size_t i = 0; i < r.chunks.size(); ++i) {
+    const auto& c = r.chunks[i];
+    EXPECT_EQ(r.digests[i],
+              dedup::Sha256::hash(data.subspan(
+                  static_cast<std::size_t>(c.offset),
+                  static_cast<std::size_t>(c.size))))
+        << "chunk " << i;
+  }
+}
+
+TEST(Shredder, ReassemblesStreamAcrossOddBufferSeams) {
+  // Every buffer is staged as the previous buffer's last w-1 bytes plus up
+  // to buffer_bytes read in place; with an odd buffer size the seams land
+  // everywhere relative to chunk boundaries and the stream tail.
+  for (const GpuMode mode :
+       {GpuMode::kBasic, GpuMode::kStreams, GpuMode::kStreamsCoalesced}) {
+    ShredderConfig cfg = small_config();
+    cfg.mode = mode;
+    cfg.buffer_bytes = 8191;
+    Shredder shredder(cfg);
+    const std::uint64_t total = 100000;
+    const ByteVec data = synthetic_bytes(total, 5);
+    SyntheticSource src(total, 5, cfg.host.reader_bw);
+    StreamCheckSink sink(as_bytes(data));
+    const auto result = shredder.run(src, sink);
+    EXPECT_EQ(result.chunks,
+              chunking::chunk_serial(shredder.tables(), cfg.chunker,
+                                     as_bytes(data)));
+    EXPECT_EQ(sink.reassembled, data);
+    EXPECT_EQ(sink.eos_batches, 1u);
+    EXPECT_EQ(result.n_buffers, (total + 8190) / 8191);
+    EXPECT_EQ(result.total_bytes, total);
+    // Buffer k stages exactly the w-1 bytes before k*8191, then its payload.
+    const std::size_t carry = cfg.chunker.window - 1;
+    ASSERT_GE(sink.windows.size(), result.n_buffers - 1);
+    for (const auto& [base, size] : sink.windows) {
+      if (base == 0) continue;
+      const std::uint64_t start = base + carry;
+      EXPECT_EQ(start % 8191, 0u) << "window at " << base;
+      EXPECT_EQ(size, carry + std::min<std::uint64_t>(8191, total - start));
+    }
+  }
+}
+
+TEST(Shredder, SmallestBufferGeometryChunksExactly) {
+  // The smallest accepted buffer (2w, see ConfigValidation) still chunks
+  // exactly.
+  ShredderConfig cfg = small_config();
+  cfg.buffer_bytes = 2 * cfg.chunker.window;
+  Shredder shredder(cfg);
+  const ByteVec data = synthetic_bytes(5000, 6);
+  SyntheticSource src(data.size(), 6, cfg.host.reader_bw);
+  StreamCheckSink sink(as_bytes(data));
+  const auto result = shredder.run(src, sink);
+  EXPECT_EQ(result.chunks, chunking::chunk_serial(shredder.tables(),
+                                                  cfg.chunker, as_bytes(data)));
+  EXPECT_EQ(sink.reassembled, data);
+}
+
+class ShredderReuse
+    : public ::testing::TestWithParam<std::tuple<GpuMode, bool>> {};
+
+TEST_P(ShredderReuse, BackToBackRunsStayExactWithoutReallocating) {
+  const auto [mode, fingerprint] = GetParam();
+  obs::Registry registry;
+  ShredderConfig cfg = small_config();
+  cfg.mode = mode;
+  cfg.fingerprint_on_device = fingerprint;
+  cfg.registry = &registry;
+  Shredder shredder(cfg);
+  const std::size_t w = cfg.chunker.window;
+  const std::size_t b = cfg.buffer_bytes;
+  std::uint64_t allocated_after_first = 0;
+  std::size_t run = 0;
+  for (const std::size_t size : {std::size_t{0}, std::size_t{1}, w - 1, b,
+                                 b + 1, b * 7 / 2}) {
+    const ByteVec data = synthetic_bytes(size, 40 + size);
+    const auto expected =
+        chunking::chunk_serial(shredder.tables(), cfg.chunker, as_bytes(data));
+    // Alternate the in-memory and the streaming (lease-retaining) frontends.
+    for (const bool streaming : {false, true}) {
+      ShredderResult result;
+      if (streaming) {
+        MemorySource src(as_bytes(data), cfg.host.reader_bw);
+        StreamCheckSink sink(as_bytes(data));
+        result = shredder.run(src, sink);
+        EXPECT_EQ(sink.reassembled, data) << "size " << size;
+      } else {
+        result = shredder.run(as_bytes(data));
+      }
+      EXPECT_EQ(result.chunks, expected) << "size " << size;
+      EXPECT_EQ(result.total_bytes, size);
+      if (fingerprint) expect_digests_match(result, as_bytes(data));
+      EXPECT_EQ(registry.gauge("pipeline.slots_leased").value(), 0.0)
+          << "size " << size;
+      if (run++ == 0) {
+        allocated_after_first = shredder.device().allocated_bytes();
+        EXPECT_GT(allocated_after_first, 0u);
+      } else {
+        EXPECT_EQ(shredder.device().allocated_bytes(), allocated_after_first)
+            << "ring or twins reallocated at size " << size;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesByFingerprint, ShredderReuse,
+    ::testing::Combine(::testing::Values(GpuMode::kBasic, GpuMode::kStreams,
+                                         GpuMode::kStreamsCoalesced),
+                       ::testing::Bool()));
+
+// Delivers bytes normally until `fail_after` bytes are out, then throws.
+class FailingSource final : public DataSource {
+ public:
+  FailingSource(ByteSpan data, std::size_t fail_after)
+      : inner_(data, 2e9), fail_after_(fail_after) {}
+
+  std::uint64_t total_bytes() const override { return inner_.total_bytes(); }
+  std::size_t read(MutableByteSpan dst) override {
+    if (served_ >= fail_after_) throw std::runtime_error("source failed");
+    const std::size_t n = inner_.read(dst);
+    served_ += n;
+    return n;
+  }
+  double read_seconds(std::uint64_t bytes) const override {
+    return inner_.read_seconds(bytes);
+  }
+
+ private:
+  MemorySource inner_;
+  std::size_t fail_after_;
+  std::size_t served_ = 0;
+};
+
+// Throws from its second batch.
+class FailingSink final : public ChunkSink {
+ public:
+  void on_batch(const ChunkBatchView&) override {
+    if (++batches_ == 2) throw std::runtime_error("sink failed");
+  }
+  bool wants_payload() const noexcept override { return true; }
+
+ private:
+  std::size_t batches_ = 0;
+};
+
+class ShredderRecovery
+    : public ::testing::TestWithParam<std::tuple<GpuMode, bool>> {};
+
+TEST_P(ShredderRecovery, FailedRunRethrowsAndNextRunIsExact) {
+  const auto [mode, fingerprint] = GetParam();
+  obs::Registry registry;
+  ShredderConfig cfg = small_config();
+  cfg.mode = mode;
+  cfg.fingerprint_on_device = fingerprint;
+  cfg.registry = &registry;
+  Shredder shredder(cfg);
+  const ByteVec data = synthetic_bytes(5 * cfg.buffer_bytes + 123, 8);
+  const auto expected =
+      chunking::chunk_serial(shredder.tables(), cfg.chunker, as_bytes(data));
+  const auto expect_exact_run = [&] {
+    const auto result = shredder.run(as_bytes(data));
+    EXPECT_EQ(result.chunks, expected);
+    if (fingerprint) expect_digests_match(result, as_bytes(data));
+    EXPECT_EQ(registry.gauge("pipeline.slots_leased").value(), 0.0);
+  };
+
+  expect_exact_run();  // a healthy engine exists before the failures
+  FailingSource source(as_bytes(data), 2 * cfg.buffer_bytes);
+  EXPECT_THROW(shredder.run(source), std::runtime_error);
+  expect_exact_run();
+
+  MemorySource streaming(as_bytes(data), cfg.host.reader_bw);
+  FailingSink sink;
+  EXPECT_THROW(shredder.run(streaming, sink), std::runtime_error);
+  expect_exact_run();
+  FailingSink in_memory_sink;
+  EXPECT_THROW(shredder.run(as_bytes(data), in_memory_sink),
+               std::runtime_error);
+  expect_exact_run();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesByFingerprint, ShredderRecovery,
+    ::testing::Combine(::testing::Values(GpuMode::kBasic, GpuMode::kStreams,
+                                         GpuMode::kStreamsCoalesced),
+                       ::testing::Bool()));
+
+TEST(Shredder, ConcurrentRunsOnOneShredderAreSerialised) {
+  ShredderConfig cfg = small_config();
+  cfg.fingerprint_on_device = true;
+  Shredder shredder(cfg);
+  const ByteVec a = synthetic_bytes(3 * cfg.buffer_bytes + 17, 11);
+  const ByteVec b = synthetic_bytes(2 * cfg.buffer_bytes + 5, 12);
+  const auto expect_a =
+      chunking::chunk_serial(shredder.tables(), cfg.chunker, as_bytes(a));
+  const auto expect_b =
+      chunking::chunk_serial(shredder.tables(), cfg.chunker, as_bytes(b));
+  const auto worker = [&](const ByteVec& data,
+                          const std::vector<chunking::Chunk>& expected) {
+    for (int i = 0; i < 4; ++i) {
+      const auto result = shredder.run(as_bytes(data));
+      EXPECT_EQ(result.chunks, expected);
+      expect_digests_match(result, as_bytes(data));
+    }
+  };
+  std::thread t1(worker, std::cref(a), std::cref(expect_a));
+  std::thread t2(worker, std::cref(b), std::cref(expect_b));
+  t1.join();
+  t2.join();
 }
 
 // --- Host chunker comparison path ---
@@ -603,7 +836,7 @@ TEST_P(PipelinePayloadModes, BatchPayloadIsCarryPrefixPlusData) {
     const std::size_t pos = i * 4096;
     buf.base_offset = i == 0 ? 0 : pos - carry;
     if (i == 1) {
-      // Carry staged inside `data`, the AsyncReader shape.
+      // Carry staged inside `data`: a producer holding both contiguously.
       buf.carry = carry;
       buf.data.assign(data.begin() + static_cast<std::ptrdiff_t>(pos - carry),
                       data.begin() + static_cast<std::ptrdiff_t>(pos + 4096));
