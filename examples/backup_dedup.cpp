@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
   // Hash chunks on the device too: the pipeline hands chunk+digest pairs to
   // the dedup stage and the host hash stage drops off the critical path.
   server_cfg.fingerprint_on_device = true;
-  // batch_link (the default) ships the backup stream as extent-coalesced
-  // batches — one wire message per drained buffer, duplicate-pointer runs
-  // collapsed to {first, count} extents (docs/backup_wire.md) — instead of
-  // one message per chunk.
+  // The backup stream ships as extent-coalesced batches over the windowed
+  // Transport — one wire message per drained buffer, duplicate-pointer runs
+  // collapsed to {first, count} extents (docs/backup_wire.md) — where the
+  // paper's framing spends one message per chunk.
   BackupServer server(server_cfg);
   BackupAgent agent;
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Repo-invariant linter: module layering + virtual-time wall-clock ban.
+"""Repo-invariant linter: module layering, wall-clock ban, isolation rules.
 
 Run first in CI (scripts/ci.sh) so structural violations fail before any
 compile time is spent. Two invariant families:
@@ -49,6 +49,14 @@ compile time is spent. Two invariant families:
    `#include "backup/..."` there is flagged, even though the module-DAG
    check would also reject it — this names the specific file and contract
    so the failure reads as a design violation, not a build-graph typo.
+
+5. Single ingest decision. dedup::Deduplicator holds the one per-chunk
+   dedup decision (probe the index, add_ref or put, self-heal a stale hit);
+   every ingest frontend calls it instead of walking the index itself.
+   Under src/, `lookup_or_insert(` may therefore appear only in src/dedup/
+   and in src/backup/agent.cc — the backup site's receive-side catalog,
+   which records what arrived rather than deciding what to ship. A new call
+   anywhere else is a forked decision path, flagged by name.
 
 Exit status: 0 = clean, 1 = violations (one line each on stderr),
 2 = usage/internal error. `--self-test` runs the checker over the fixture
@@ -110,6 +118,11 @@ SINK_FORBIDDEN_MODULES = ("service", "backup")
 # The retention control plane must not reach up into the layers that drive
 # it (retention isolation; see docstring point 3).
 RETENTION_FORBIDDEN_MODULES = ("service", "backup")
+
+# Where the index's per-chunk probe may be called (single ingest decision;
+# see docstring point 5), relative to src/: a module directory or a file.
+INGEST_DECISION_OWNERS = ("dedup/", "backup/agent.cc")
+INGEST_DECISION_RE = re.compile(r"\blookup_or_insert\s*\(")
 
 
 def transitive_closure(direct: dict[str, set[str]]) -> dict[str, set[str]]:
@@ -241,13 +254,36 @@ def check_sink_isolation(src: Path) -> list[str]:
     return errors
 
 
+def check_ingest_decision(src: Path) -> list[str]:
+    errors = []
+    for path in sorted(src.rglob("*")):
+        if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
+            continue
+        rel_src = path.relative_to(src).as_posix()
+        if any(rel_src == owner or (owner.endswith("/") and
+                                    rel_src.startswith(owner))
+               for owner in INGEST_DECISION_OWNERS):
+            continue
+        for lineno, raw in enumerate(
+                path.read_text(errors="replace").splitlines(), 1):
+            if INGEST_DECISION_RE.search(strip_comments(raw)):
+                rel = path.relative_to(src.parent)
+                errors.append(
+                    f"{rel}:{lineno}: single ingest decision violation: "
+                    f"lookup_or_insert( outside dedup::Deduplicator — call "
+                    f"Deduplicator::ingest_chunk instead of forking the "
+                    f"probe -> ref -> store walk: {raw.strip()}")
+    return errors
+
+
 def run_checks(root: Path) -> list[str]:
     src = root / "src"
     if not src.is_dir():
         raise RuntimeError(f"no src/ under {root}")
     assert_acyclic(DIRECT_DEPS)
     return (check_layering(src) + check_wall_clock(src)
-            + check_retention_isolation(src) + check_sink_isolation(src))
+            + check_retention_isolation(src) + check_sink_isolation(src)
+            + check_ingest_decision(src))
 
 
 def self_test(repo_root: Path) -> int:
@@ -270,6 +306,7 @@ def self_test(repo_root: Path) -> int:
     expect("bad_clock", 1, "wall-clock call")
     expect("bad_sink_dep", 1, "sink isolation")
     expect("bad_retention_dep", 2, "retention isolation")
+    expect("bad_ingest_fork", 1, "single ingest decision")
 
     # The word-boundary regex must not flag identifiers ending in `time`.
     clean_errors = run_checks(fixtures / "clean")
@@ -308,7 +345,8 @@ def main() -> int:
         print(f"check_invariants.py: {len(errors)} violation(s)",
               file=sys.stderr)
         return 1
-    print("check_invariants.py: module DAG and wall-clock invariants hold")
+    print("check_invariants.py: module DAG, wall-clock, isolation and "
+          "single-ingest-decision invariants hold")
     return 0
 
 

@@ -114,44 +114,21 @@ void BackupAgent::admit_chunk(const dedup::ChunkDigest& digest,
   catalog_offset_ += size;
 }
 
-void BackupAgent::receive(const std::string& image_id,
-                          const Message& message) {
-  // One-chunk shim over the batch protocol: a pointer is a single
-  // duplicate extent, a payload chunk a single unique extent. The payload
-  // rides as a view, never copied.
-  const std::vector<dedup::ChunkDigest> digests{message.digest};
-  const bool unique = !message.payload.empty();
-  const std::vector<ExtentBatch::Extent> extents{{0, 1, unique}};
-  std::vector<std::uint32_t> payload_sizes;
-  if (unique) {
-    payload_sizes.push_back(static_cast<std::uint32_t>(message.payload.size()));
-  }
-  apply_batch(image_id, digests, extents, payload_sizes,
-              as_bytes(message.payload));
-}
-
 void BackupAgent::receive_batch(const std::string& image_id,
                                 const ExtentBatch& batch) {
-  apply_batch(image_id, batch.digests, batch.extents, batch.payload_sizes,
-              as_bytes(batch.payload));
-}
-
-void BackupAgent::apply_batch(const std::string& image_id,
-                              const std::vector<dedup::ChunkDigest>& digests,
-                              const std::vector<ExtentBatch::Extent>& extents,
-                              const std::vector<std::uint32_t>& payload_sizes,
-                              ByteSpan payload) {
   auto& recipe = open_recipe(image_id);
-  validate_batch(digests.size(), extents, payload_sizes, payload.size(),
-                 /*stripped=*/false);
+  validate_batch(batch.digests.size(), batch.extents, batch.payload_sizes,
+                 batch.payload.size(), /*stripped=*/false);
 
+  // A view of the concatenated unique payloads — never copied.
+  const ByteSpan payload = as_bytes(batch.payload);
   std::size_t next_size = 0;  // index into payload_sizes
   std::size_t payload_off = 0;
-  for (const auto& e : extents) {
+  for (const auto& e : batch.extents) {
     for (std::uint32_t k = 0; k < e.count; ++k) {
-      const dedup::ChunkDigest& digest = digests[e.first + k];
+      const dedup::ChunkDigest& digest = batch.digests[e.first + k];
       if (e.unique) {
-        const std::size_t sz = payload_sizes[next_size++];
+        const std::size_t sz = batch.payload_sizes[next_size++];
         admit_chunk(digest, payload.subspan(payload_off, sz));
         payload_off += sz;
       } else if (const auto pending = pending_repair_.find(digest);

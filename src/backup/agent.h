@@ -69,12 +69,6 @@ class BackupAgent {
   // style sparse index (docs/dedup_index.md). Results are exact either way;
   // only the modelled catalog time (catalog_seconds) differs.
   explicit BackupAgent(dedup::IndexConfig catalog_config = {});
-  // One element of the backup stream: a pointer (digest only) or a payload-
-  // carrying chunk. Legacy unit of the per-chunk wire framing.
-  struct Message {
-    dedup::ChunkDigest digest;
-    ByteVec payload;  // empty => pointer to an already-stored chunk
-  };
 
   // One extent-coalesced wire batch (docs/backup_wire.md): everything one
   // drained server buffer finalized. `digests` names every chunk in stream
@@ -111,11 +105,6 @@ class BackupAgent {
   void end_image(const std::string& image_id, std::uint64_t expected_chunks = 0);
 
   bool image_sealed(const std::string& image_id) const;
-
-  // Appends one chunk/pointer to the image. A pointer to an unknown digest
-  // throws ProtocolError{kUnknownPointer}. Kept as a one-chunk shim over
-  // receive_batch().
-  void receive(const std::string& image_id, const Message& message);
 
   // Appends a whole extent batch to the image. Throws ProtocolError when the
   // batch is malformed (extents not a partition, payload sizes inconsistent,
@@ -192,14 +181,6 @@ class BackupAgent {
   // Stores a freshly arrived unique chunk and registers it in the catalog.
   void admit_chunk(const dedup::ChunkDigest& digest, ByteSpan bytes);
   void admit_chunk(const dedup::ChunkDigest& digest, ByteVec&& bytes);
-
-  // Shared applier behind both receive paths: `payload` is the concatenated
-  // unique-chunk bytes (a view — the wire buffer is never copied).
-  void apply_batch(const std::string& image_id,
-                   const std::vector<dedup::ChunkDigest>& digests,
-                   const std::vector<ExtentBatch::Extent>& extents,
-                   const std::vector<std::uint32_t>& payload_sizes,
-                   ByteSpan payload);
 
   dedup::ChunkStore store_;
   std::unique_ptr<dedup::IndexBackend> catalog_;

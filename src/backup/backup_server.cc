@@ -1,12 +1,10 @@
 #include "backup/backup_server.h"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
 #include "common/timer.h"
-#include "dedup/dedup.h"
 
 namespace shredder::backup {
 
@@ -39,20 +37,20 @@ class BatchRecorder final : public ChunkSink {
 BackupServer::BackupServer(BackupServerConfig config)
     : config_(std::move(config)) {
   config_.chunker.validate();
-  // The repair source of the batched transport path: every unique chunk the
-  // server ships is also retained here, so a re-requested digest can always
-  // be served. Shareable (e.g. with a dedup_on_store service). Server-owned
-  // instances run in deferred-reclaim mode: snapshot deletes park zero-ref
-  // chunks for the GC epoch protocol instead of freeing them inline.
-  store_ = config_.store ? config_.store
-                         : std::make_shared<dedup::ChunkStore>(
-                               /*deferred_reclaim=*/true);
+  // The transport's repair source: every unique chunk the server ships is
+  // also retained here, so a re-requested digest can always be served.
+  // Shareable (e.g. with a dedup_on_store service). Server-owned instances
+  // run in deferred-reclaim mode: snapshot deletes park zero-ref chunks for
+  // the GC epoch protocol instead of freeing them inline.
+  auto store = config_.store ? config_.store
+                             : std::make_shared<dedup::ChunkStore>(
+                                   /*deferred_reclaim=*/true);
   // The baseline backend's flat probe/insert costs live in BackupCostModel
   // (§7.3 calibration); copy them into the index config so both knobs agree.
   dedup::IndexConfig index_cfg = config_.index;
   index_cfg.costs.probe_s = config_.costs.index_probe_s;
   index_cfg.costs.insert_s = config_.costs.index_insert_s;
-  index_ = dedup::make_index(index_cfg);
+  dedup_ = std::make_unique<dedup::Deduplicator>(index_cfg, store);
   // With a shared service and no explicit registry, the server publishes
   // into the service's registry so one snapshot() covers both layers.
   registry_ = config_.registry;
@@ -64,8 +62,8 @@ BackupServer::BackupServer(BackupServerConfig config)
   retention_cfg.costs = config_.retention_costs;
   retention_cfg.registry = registry_;
   retention_cfg.tracer = config_.tracer;
-  retention_ = std::make_unique<retention::RetentionManager>(store_,
-                                                             retention_cfg);
+  retention_ = std::make_unique<retention::RetentionManager>(
+      std::move(store), retention_cfg);
   switch (config_.backend) {
     case ChunkerBackend::kShredderGpu:
       config_.shredder.chunker = config_.chunker;
@@ -209,43 +207,30 @@ BackupRunStats BackupServer::dedup_and_ship(
     digests = dedup::hash_chunks(cpu_chunker_ ? &cpu_chunker_->pool() : nullptr,
                                  image, chunks);
   }
-  // The wire: batched streams ride the windowed ack-clocked Transport (with
-  // the server's chunk store as the repair source); the per-chunk framing
-  // keeps the paper's fire-and-forget AgentLink model.
-  std::optional<AgentLink> link;
-  std::optional<Transport> transport;
-  if (config_.batch_link) {
-    auto store = store_;
-    transport.emplace(agent, transport_config(image_id),
-                      [store](const dedup::ChunkDigest& digest) {
-                        return store->get(digest);
+  // The wire: the windowed ack-clocked Transport, with the server's chunk
+  // store as the repair source.
+  Transport transport(agent, transport_config(image_id),
+                      [this](const dedup::ChunkDigest& digest) {
+                        return dedup_->store().get(digest);
                       });
-    transport->begin_image(image_id);
-  } else {
-    link.emplace(agent, config_.costs.link);
-    link->begin_image(image_id);
-  }
+  transport.begin_image(image_id);
   // The index stage is charged whatever the backend's virtual clock says
   // this snapshot's probes cost — a flat per-probe/per-insert rate for the
   // baseline, signature probes + amortized container reads for the sparse
   // index. Each snapshot probes as its own stream so the sparse backend's
   // prefetch cache sees backup locality.
   const std::uint32_t index_stream = next_index_stream_++;
-  const dedup::IndexStats index_before = index_->stats();
-  stats.index_kind = index_->kind();
-  // Retention bookkeeping (batched path only — the per-chunk AgentLink path
-  // takes no store references): pin the whole dedup walk so a concurrent
-  // gc() cannot free a chunk between this walk's index hit and its add_ref,
-  // and accumulate the image's ordered digest list for its manifest.
-  retention::RetentionManager::Pin pin;
+  const dedup::IndexStats index_before = dedup_->index().stats();
+  const dedup::DedupStats dedup_before = dedup_->stats();
+  stats.index_kind = dedup_->index().kind();
+  // Retention bookkeeping: pin the whole dedup walk so a concurrent gc()
+  // cannot free a chunk between this walk's index hit and its add_ref, and
+  // accumulate the image's ordered digest list for its manifest.
+  retention::RetentionManager::Pin pin = retention_->pin();
   std::vector<dedup::ChunkDigest> manifest_digests;
-  if (config_.batch_link) {
-    pin = retention_->pin();
-    manifest_digests.reserve(chunks.size());
-  }
-  // The stream ships at the drained-buffer granularity chunk_image recorded:
-  // with batch_link one extent-coalesced wire message per buffer, otherwise
-  // the paper's one message per chunk.
+  manifest_digests.reserve(chunks.size());
+  // The stream ships one extent-coalesced wire message per drained buffer,
+  // at the granularity chunk_image recorded.
   std::size_t chunk_i = 0;
   for (const std::size_t batch_end : batch_ends) {
     BackupAgent::ExtentBatch wire;
@@ -255,36 +240,12 @@ BackupRunStats BackupServer::dedup_and_ship(
           image.subspan(static_cast<std::size_t>(c.offset),
                         static_cast<std::size_t>(c.size));
       const auto& digest = digests[chunk_i];
-      const auto existing = index_->lookup_or_insert(
-          digest, dedup::ChunkLocation{next_store_offset_, c.size},
-          index_stream);
-      bool unique = !existing.has_value();
-      // One store reference per duplicate occurrence keeps the refcounts
-      // symmetric with the manifest the delete walk will replay. A failed
-      // add_ref is a stale index hit — the chunk was deleted and swept after
-      // the index recorded it — and self-heals: treat the chunk as unique
-      // and re-ship the payload (dedup ratio degrades, correctness never).
-      if (config_.batch_link && !unique && !store_->add_ref(digest)) {
-        unique = true;
-      }
-      if (unique) {
-        stats.unique_bytes += c.size;
-        next_store_offset_ += c.size;
-      } else {
-        ++stats.duplicate_chunks;
-      }
-      if (!config_.batch_link) {
-        BackupAgent::Message msg;
-        msg.digest = digest;
-        if (unique) msg.payload.assign(payload.begin(), payload.end());
-        link->send(image_id, msg);
-        continue;
-      }
-      // Retain the payload server-side: the repair protocol must be able to
-      // serve any digest it ever put on the wire. put() is the unique-chunk
-      // half of the one-ref-per-occurrence invariant (add_ref above is the
-      // duplicate half).
-      if (unique) store_->put(digest, payload);
+      // The store keeps every payload the wire carries: the repair protocol
+      // must be able to serve any digest it ever put on the wire.
+      const bool unique =
+          !dedup_->ingest_chunk(digest, c.size, index_stream, [&] {
+                   return payload;
+                 }).duplicate();
       manifest_digests.push_back(digest);
       // Extent coalescing: extend the open run while the chunk kind
       // matches, else seal it and open the next.
@@ -301,48 +262,42 @@ BackupRunStats BackupServer::dedup_and_ship(
                             payload.end());
       }
     }
-    if (config_.batch_link && !wire.digests.empty()) {
-      transport->send_batch(image_id, std::move(wire));
+    if (!wire.digests.empty()) {
+      transport.send_batch(image_id, std::move(wire));
     }
   }
-  if (transport) {
-    transport->end_image(image_id);
-    transport->flush();
-  }
+  transport.end_image(image_id);
+  transport.flush();
 
-  const dedup::IndexStats index_after = index_->stats();
+  const dedup::DedupStats walk = dedup_->stats() - dedup_before;
+  stats.duplicate_chunks = walk.chunks_duplicate;
+  stats.healed_chunks = walk.chunks_healed;
+  stats.unique_bytes = walk.bytes_total - walk.bytes_duplicate;
+  const dedup::IndexStats index_after = dedup_->index().stats();
   stats.index_seconds = index_after.virtual_seconds -
                         index_before.virtual_seconds;
   stats.index_flash_reads = index_after.flash_reads - index_before.flash_reads;
   stats.index_cache_hits = index_after.cache_hits - index_before.cache_hits;
-  if (transport) {
-    const TransportStats& ts = transport->stats();
-    stats.transport = ts;
-    stats.link_degraded = ts.degraded;
-    // link_seconds is the transport makespan — with faults it exceeds the
-    // logical serialized time in ts.link.virtual_seconds by the recovery
-    // cost; without faults the two agree to within the final ack round trip.
-    stats.link_seconds = ts.virtual_seconds;
-    stats.link_messages = ts.link.messages;
-    stats.link_extents = ts.link.extents;
-    stats.wire_bytes = ts.link.wire_bytes;
-    if (config_.backend == ChunkerBackend::kSharedService && config_.service) {
-      service::TenantTransportHealth health;
-      health.tenant = image_id;
-      health.frames_sent = ts.frames_sent;
-      health.retransmits = ts.retransmits;
-      health.repairs = ts.repair_frames;
-      health.stall_seconds = ts.window_stall_seconds;
-      health.link_seconds = ts.virtual_seconds;
-      health.degraded = ts.degraded;
-      config_.service->report_transport_health(std::move(health));
-    }
-  } else {
-    const LinkStats& wire_stats = link->stats();
-    stats.link_seconds = wire_stats.virtual_seconds;
-    stats.link_messages = wire_stats.messages;
-    stats.link_extents = wire_stats.extents;
-    stats.wire_bytes = wire_stats.wire_bytes;
+  const TransportStats& ts = transport.stats();
+  stats.transport = ts;
+  stats.link_degraded = ts.degraded;
+  // link_seconds is the transport makespan — with faults it exceeds the
+  // logical serialized time in ts.link.virtual_seconds by the recovery
+  // cost; without faults the two agree to within the final ack round trip.
+  stats.link_seconds = ts.virtual_seconds;
+  stats.link_messages = ts.link.messages;
+  stats.link_extents = ts.link.extents;
+  stats.wire_bytes = ts.link.wire_bytes;
+  if (config_.backend == ChunkerBackend::kSharedService && config_.service) {
+    service::TenantTransportHealth health;
+    health.tenant = image_id;
+    health.frames_sent = ts.frames_sent;
+    health.retransmits = ts.retransmits;
+    health.repairs = ts.repair_frames;
+    health.stall_seconds = ts.window_stall_seconds;
+    health.link_seconds = ts.virtual_seconds;
+    health.degraded = ts.degraded;
+    config_.service->report_transport_health(std::move(health));
   }
   stats.index_transfer_seconds = stats.index_seconds + stats.link_seconds;
 
@@ -360,13 +315,11 @@ BackupRunStats BackupServer::dedup_and_ship(
   const ByteVec recreated = agent.recreate(image_id);
   stats.verified = recreated.size() == image.size() &&
                    std::equal(recreated.begin(), recreated.end(), image.begin());
-  if (config_.batch_link) {
-    // The manifest is the durable record the delete walk and crash recovery
-    // replay. Recorded unconditionally: the store references were taken
-    // during the walk above, and a manifest must account for every one.
-    retention_->record_image("", image_id, manifest_digests);
-    pin.release();
-  }
+  // The manifest is the durable record the delete walk and crash recovery
+  // replay. Recorded unconditionally: the store references were taken
+  // during the walk above, and a manifest must account for every one.
+  retention_->record_image("", image_id, manifest_digests);
+  pin.release();
   stats.wall_seconds = wall.elapsed_seconds();
   publish_run_stats(stats, index_before, index_after);
   return stats;
@@ -398,24 +351,7 @@ void BackupServer::publish_run_stats(const BackupRunStats& stats,
       .observe(stats.index_seconds);
   reg.timing("backup.stage_seconds", {{"stage", "link"}})
       .observe(stats.link_seconds);
-  // Probe-outcome deltas for the server-owned index. The dedup layer sits
-  // below obs, so its consumers publish on its behalf.
-  const auto delta = [](std::uint64_t after, std::uint64_t before) {
-    return after - before;
-  };
-  reg.counter("index.probes_total")
-      .add(delta(index_after.probes, index_before.probes));
-  reg.counter("index.inserts_total")
-      .add(delta(index_after.inserts, index_before.inserts));
-  reg.counter("index.signature_hits_total")
-      .add(delta(index_after.signature_hits, index_before.signature_hits));
-  reg.counter("index.false_signature_hits_total")
-      .add(delta(index_after.false_signature_hits,
-                 index_before.false_signature_hits));
-  reg.counter("index.flash_reads_total")
-      .add(delta(index_after.flash_reads, index_before.flash_reads));
-  reg.counter("index.cache_hits_total")
-      .add(delta(index_after.cache_hits, index_before.cache_hits));
+  retention::publish_index_delta(reg, index_before, index_after);
 }
 
 retention::RetentionManager::DeleteStats BackupServer::delete_image(
@@ -428,9 +364,9 @@ retention::RetentionManager::GcStats BackupServer::gc() {
 }
 
 retention::RetentionManager::CompactStats BackupServer::compact_index() {
-  if (index_->kind() == dedup::IndexKind::kSparse) {
+  if (dedup_->index().kind() == dedup::IndexKind::kSparse) {
     return retention_->compact_index(
-        static_cast<dedup::SparseChunkIndex&>(*index_));
+        static_cast<dedup::SparseChunkIndex&>(dedup_->index()));
   }
   // The baseline map keeps no entry log; only the manifest log compacts.
   retention::RetentionManager::CompactStats stats;

@@ -20,12 +20,11 @@
 
 #include "backup/agent.h"
 #include "backup/image.h"
-#include "backup/link.h"
 #include "backup/transport.h"
 #include "chunking/chunk.h"
 #include "chunking/parallel.h"
 #include "core/shredder.h"
-#include "dedup/index.h"
+#include "dedup/dedup.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "retention/retention.h"
@@ -51,8 +50,8 @@ struct BackupCostModel {
   double index_probe_s = 3.5e-6;   // per-chunk lookup + queue handling
   double index_insert_s = 6.0e-6;  // extra work for a previously unseen chunk
   // Backup-site wire: 10 GbE bandwidth plus the framing model —
-  // per-message handling, header bytes, extent-record bytes (link.h,
-  // docs/backup_wire.md). The framing terms are what make per-chunk
+  // per-message handling, header bytes, extent-record bytes (transport.h,
+  // docs/backup_wire.md). The per-message term is what would make per-chunk
   // messages a real term in the bandwidth equation at small chunk sizes,
   // and what the extent-coalesced protocol amortizes away.
   LinkCostModel link;
@@ -82,18 +81,13 @@ struct BackupServerConfig {
   // The chunking pipeline then delivers chunk+digest pairs and the host
   // hashing stage disappears from the bandwidth equation.
   bool fingerprint_on_device = false;
-  // Ship the backup stream as extent-coalesced batches — one wire message
-  // per drained chunking buffer, duplicate-pointer runs collapsed into
-  // {first, count} extent records (docs/backup_wire.md) — instead of one
-  // message per chunk. Off reproduces the paper's per-chunk link framing
-  // over the lossless fire-and-forget AgentLink; on, the batches ride the
-  // windowed ack-clocked Transport below.
-  bool batch_link = true;
-  // Transport parameters for the batched path: window/RTO/repair knobs and
-  // the injectable fault schedule (transport.h). Its framing costs are
-  // overwritten from `costs.link` so the fig18 calibration stays in one
-  // place. The defaults (no faults, instant applies) make the transport
-  // behave like the lossless link plus one end-of-image control frame.
+  // Transport parameters: window/RTO/repair knobs and the injectable fault
+  // schedule (transport.h). The backup stream ships as extent-coalesced
+  // batches — one wire message per drained chunking buffer, duplicate-
+  // pointer runs collapsed into {first, count} extent records
+  // (docs/backup_wire.md). Its framing costs are overwritten from
+  // `costs.link` so the fig18 calibration stays in one place. The defaults
+  // (no faults, instant applies) make the transport a lossless link.
   TransportConfig transport;
   // Content-addressed store of every unique chunk this server has shipped —
   // the source the repair protocol serves re-requested digests from. Leave
@@ -124,6 +118,8 @@ struct BackupRunStats {
   std::uint64_t bytes = 0;
   std::uint64_t chunks = 0;
   std::uint64_t duplicate_chunks = 0;
+  // Stale index hits re-shipped as payload (counted in unique_bytes too).
+  std::uint64_t healed_chunks = 0;
   std::uint64_t unique_bytes = 0;
 
   // Per-stage virtual time for this snapshot. With on-device fingerprinting
@@ -132,8 +128,9 @@ struct BackupRunStats {
   double chunking_seconds = 0;
   double hashing_seconds = 0;
   double index_seconds = 0;           // modelled index time this snapshot
-  // Modelled wire time under the AgentLink framing model: per-message
-  // handling + (headers, digests, extent records, payloads) over link_bw.
+  // Modelled wire time: the transport makespan (framing model per-message
+  // handling + headers, digests, extent records and payloads over link.bw,
+  // plus any recovery work).
   double link_seconds = 0;
   double index_transfer_seconds = 0;  // index_seconds + link_seconds
   bool device_fingerprint = false;
@@ -145,17 +142,16 @@ struct BackupRunStats {
   std::uint64_t index_cache_hits = 0;
 
   // Wire telemetry for this snapshot: messages shipped to the agent, extent
-  // records inside batch messages (zero with per-chunk framing), and total
-  // link bytes including framing overhead. These count the *logical* stream
-  // (each original frame once); retransmissions, acks and repair traffic are
-  // accounted in `transport` below.
+  // records inside batch messages, and total link bytes including framing
+  // overhead. These count the *logical* stream (each original frame once);
+  // retransmissions, acks and repair traffic are accounted in `transport`
+  // below.
   std::uint64_t link_messages = 0;
   std::uint64_t link_extents = 0;
   std::uint64_t wire_bytes = 0;
 
-  // Full transport telemetry for the batched path (zeroed for the per-chunk
-  // AgentLink path): retransmits, acks, window stalls, repair traffic,
-  // makespan, goodput, degraded-health flag.
+  // Full transport telemetry: retransmits, acks, window stalls, repair
+  // traffic, makespan, goodput, degraded-health flag.
   TransportStats transport;
   bool link_degraded = false;
 
@@ -190,13 +186,11 @@ class BackupServer {
                                             const ImageRepository& repo,
                                             BackupAgent& agent);
 
-  const dedup::IndexBackend& index() const noexcept { return *index_; }
+  const dedup::IndexBackend& index() const noexcept { return dedup_->index(); }
   const BackupServerConfig& config() const noexcept { return config_; }
 
   // --- Retention surface (src/retention): manifests, delete, GC, compaction.
-  // Every snapshot shipped over the batched transport records a chunk
-  // manifest here once the backup site verified; the per-chunk AgentLink
-  // path takes no store references and leaves no manifest.
+  // Every backed-up snapshot records its chunk manifest here.
   retention::RetentionManager& retention() noexcept { return *retention_; }
   const retention::RetentionManager& retention() const noexcept {
     return *retention_;
@@ -206,7 +200,7 @@ class BackupServer {
   // releasing one store reference per chunk occurrence; chunks that hit zero
   // refs await gc(). The backup site's copy is deleted separately via
   // BackupAgent::delete_image. Throws retention::RetentionError
-  // (kUnknownImage for ids never shipped over the batched path;
+  // (kUnknownImage for ids never backed up;
   // kAlreadyDeleted on a repeat delete). A deleted id may be backed up
   // again afterwards — to a fresh agent, since the old one seals ids.
   retention::RetentionManager::DeleteStats delete_image(
@@ -230,7 +224,7 @@ class BackupServer {
                      std::vector<chunking::Chunk>& chunks,
                      std::vector<dedup::ChunkDigest>& digests,
                      std::vector<std::size_t>& batch_ends);
-  // Hash + index + transfer + verification stages shared by all paths.
+  // Hash + dedup + transfer + verification stages shared by all backends.
   // `digests` empty => hash on the host; otherwise they are the
   // device-precomputed fingerprints, 1:1 with `chunks`.
   BackupRunStats dedup_and_ship(const std::string& image_id, ByteSpan image,
@@ -253,13 +247,13 @@ class BackupServer {
 
   BackupServerConfig config_;
   obs::Registry* registry_ = nullptr;  // resolved in the constructor
-  std::unique_ptr<dedup::IndexBackend> index_;
-  std::shared_ptr<dedup::ChunkStore> store_;  // repair source (batched path)
+  // The per-chunk decision over the server's index and its chunk store (the
+  // transport's repair source).
+  std::unique_ptr<dedup::Deduplicator> dedup_;
   std::unique_ptr<retention::RetentionManager> retention_;
   std::unique_ptr<core::Shredder> shredder_;        // GPU backend
   std::unique_ptr<rabin::RabinTables> cpu_tables_;  // CPU backend
   std::unique_ptr<chunking::ParallelChunker> cpu_chunker_;
-  std::uint64_t next_store_offset_ = 0;
   // Each snapshot probes the index as its own stream: the sparse backend's
   // container prefetch cache is per-stream, matching backup locality.
   std::uint32_t next_index_stream_ = 0;

@@ -10,6 +10,20 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
+LinkStats per_chunk_link_price(const LinkCostModel& costs, std::uint64_t chunks,
+                               std::uint64_t unique_bytes,
+                               std::size_t image_id_bytes) {
+  LinkStats st;
+  st.messages = chunks + 1;
+  st.chunks = chunks;
+  st.payload_bytes = unique_bytes;
+  st.wire_bytes = st.messages * costs.msg_header_bytes + image_id_bytes +
+                  chunks * sizeof(dedup::ChunkDigest) + unique_bytes;
+  st.virtual_seconds = static_cast<double>(st.messages) * costs.msg_s +
+                       static_cast<double>(st.wire_bytes) / costs.bw;
+  return st;
+}
+
 Transport::Transport(BackupAgent& agent, TransportConfig config,
                      RepairSource repair)
     : agent_(agent),
@@ -168,8 +182,7 @@ void Transport::transmit_next() {
   out.frame = frame;
   out.rto = cfg_.rto_s;
   const double finish = [&] {
-    // Charge the logical link exactly as AgentLink would have: once per
-    // original frame, per-message handling plus framed bytes over bw. The
+    // Charge the logical link once per original frame, per-message handling plus framed bytes over bw. The
     // retransmit path never touches these counters.
     const std::size_t wire = cfg_.link.msg_header_bytes + frame->content_bytes;
     ++stats_.link.messages;

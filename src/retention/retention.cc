@@ -330,4 +330,19 @@ void RetentionManager::publish_gauges() {
       .set(static_cast<double>(manifests_.deleted_images()));
 }
 
+void publish_index_delta(obs::Registry& registry,
+                         const dedup::IndexStats& before,
+                         const dedup::IndexStats& after) {
+  registry.counter("index.probes_total").add(after.probes - before.probes);
+  registry.counter("index.inserts_total").add(after.inserts - before.inserts);
+  registry.counter("index.signature_hits_total")
+      .add(after.signature_hits - before.signature_hits);
+  registry.counter("index.false_signature_hits_total")
+      .add(after.false_signature_hits - before.false_signature_hits);
+  registry.counter("index.flash_reads_total")
+      .add(after.flash_reads - before.flash_reads);
+  registry.counter("index.cache_hits_total")
+      .add(after.cache_hits - before.cache_hits);
+}
+
 }  // namespace shredder::retention

@@ -61,6 +61,13 @@ struct RetentionConfig {
   obs::Tracer* tracer = nullptr;      // GC / compaction spans
 };
 
+// Adds the index's probe-outcome movement from `before` to `after` to the
+// index.* counters. dedup sits below obs in the module DAG, so the layers
+// driving an index publish on its behalf — as the manager does for store.*.
+void publish_index_delta(obs::Registry& registry,
+                         const dedup::IndexStats& before,
+                         const dedup::IndexStats& after);
+
 class RetentionManager {
  public:
   // The store should be constructed with deferred_reclaim = true; with an

@@ -70,19 +70,19 @@ ChunkingService::ChunkingService(ServiceConfig config)
   engine_ = std::make_unique<core::PipelineEngine>(engine_cfg, *device_,
                                                    tables_, config_.chunker);
   if (config_.dedup_on_store) {
-    index_ = dedup::make_index(config_.index);
     // Service-owned stores run in deferred-reclaim mode so delete_image
     // parks zero-ref chunks for the GC epoch protocol instead of freeing
     // them under concurrent sessions.
-    store_ = config_.store != nullptr
-                 ? config_.store
-                 : std::make_shared<dedup::ChunkStore>(
-                       /*deferred_reclaim=*/true);
+    auto store = config_.store != nullptr
+                     ? config_.store
+                     : std::make_shared<dedup::ChunkStore>(
+                           /*deferred_reclaim=*/true);
+    dedup_ = std::make_unique<dedup::Deduplicator>(config_.index, store);
     retention::RetentionConfig retention_cfg;
     retention_cfg.registry = registry_;
     retention_cfg.tracer = tracer_;
-    retention_ =
-        std::make_unique<retention::RetentionManager>(store_, retention_cfg);
+    retention_ = std::make_unique<retention::RetentionManager>(
+        std::move(store), retention_cfg);
   }
   aggregate_.init_seconds = engine_->init_seconds();
   scheduler_thread_ = std::thread([this] { scheduler_loop(); });
@@ -410,52 +410,42 @@ void ChunkingService::store_loop() {
       }
       // Fingerprint mode: chunk ends arrive resolved, paired with device
       // digests — emit them directly instead of running the host filter.
-      // With dedup_on_store every chunk also probes the shared index (the
-      // tenant id keys the sparse backend's prefetch cache); unique payloads
-      // are sliced from the session's rolling tail into the shared store,
-      // duplicates add a reference to the stored copy.
+      // With dedup_on_store every chunk also takes the shared dedup decision
+      // (the tenant id keys the sparse backend's prefetch cache); stored
+      // payloads are sliced from the session's rolling tail into the shared
+      // store, duplicates add a reference to the stored copy.
       const auto emit_fingerprinted = [&] {
-        const double index_t0 = index_ ? index_->virtual_seconds() : 0.0;
         const dedup::IndexStats index_before =
-            index_ ? index_->stats() : dedup::IndexStats{};
+            dedup_ ? dedup_->index().stats() : dedup::IndexStats{};
+        const dedup::DedupStats dedup_before =
+            dedup_ ? dedup_->stats() : dedup::DedupStats{};
         core::for_each_fingerprinted_chunk(
             *batch, s->last_end,
             [&](const chunking::Chunk& c, const dedup::ChunkDigest& d) {
               s->chunks.push_back(c);
               s->digests.push_back(d);
-              if (index_) {
-                const auto existing = index_->lookup_or_insert(
-                    d, dedup::ChunkLocation{next_store_offset_, c.size},
-                    s->id);
-                // A failed add_ref on an index hit is a stale entry — the
-                // chunk was deleted and GC-swept after the index recorded
-                // it. Self-heal: treat the chunk as unique and re-store the
-                // payload (dedup ratio degrades, correctness never).
-                bool duplicate = existing.has_value();
-                if (duplicate && !store_->add_ref(d)) duplicate = false;
-                if (duplicate) {
-                  ++s->report.n_duplicate_chunks;
-                  s->report.duplicate_bytes += c.size;
-                } else {
-                  SHREDDER_CHECK_MSG(
-                      c.offset >= s->tail.base() && c.end() <= s->tail.end(),
-                      "ChunkingService: chunk outside the rolling tail");
-                  // Usually a direct alias of the leased slot; spliced only
-                  // for chunks spanning buffers. The put() below is then
-                  // the unique byte's single copy: leased slot -> store.
-                  const ByteSpan bytes = s->tail.slice(
-                      c.offset, static_cast<std::size_t>(c.size));
-                  next_store_offset_ += c.size;
-                  if (store_->put(d, bytes) == dedup::PutOutcome::kInserted) {
-                    s->report.stored_bytes += c.size;
-                  }
-                }
-              }
+              if (!dedup_) return;
+              dedup_->ingest_chunk(d, c.size, s->id, [&] {
+                SHREDDER_CHECK_MSG(
+                    c.offset >= s->tail.base() && c.end() <= s->tail.end(),
+                    "ChunkingService: chunk outside the rolling tail");
+                // Usually a direct alias of the leased slot; spliced only
+                // for chunks spanning buffers. The store's put() is then
+                // the stored byte's single copy: leased slot -> store.
+                return s->tail.slice(c.offset,
+                                     static_cast<std::size_t>(c.size));
+              });
             });
-        if (index_) {
-          s->report.index_seconds += index_->virtual_seconds() - index_t0;
-          publish_index_delta(index_before);
-        }
+        if (!dedup_) return;
+        const dedup::DedupStats walk = dedup_->stats() - dedup_before;
+        s->report.n_duplicate_chunks += walk.chunks_duplicate;
+        s->report.n_healed_chunks += walk.chunks_healed;
+        s->report.duplicate_bytes += walk.bytes_duplicate;
+        s->report.stored_bytes += walk.bytes_stored;
+        const dedup::IndexStats index_after = dedup_->index().stats();
+        s->report.index_seconds +=
+            index_after.virtual_seconds - index_before.virtual_seconds;
+        retention::publish_index_delta(*registry_, index_before, index_after);
       };
       const std::size_t batch_first = s->chunks.size();
       // Extend the rolling tail before emitting: chunk payload slices and
@@ -600,21 +590,6 @@ void ChunkingService::trace_batch(const Session& s,
                    static_cast<double>(batch.queue_depth));
 }
 
-void ChunkingService::publish_index_delta(const dedup::IndexStats& before) {
-  const dedup::IndexStats now = index_->stats();
-  obs::Registry& reg = *registry_;
-  reg.counter("index.probes_total").add(now.probes - before.probes);
-  reg.counter("index.inserts_total").add(now.inserts - before.inserts);
-  reg.counter("index.signature_hits_total")
-      .add(now.signature_hits - before.signature_hits);
-  reg.counter("index.false_signature_hits_total")
-      .add(now.false_signature_hits - before.false_signature_hits);
-  reg.counter("index.flash_reads_total")
-      .add(now.flash_reads - before.flash_reads);
-  reg.counter("index.cache_hits_total")
-      .add(now.cache_hits - before.cache_hits);
-}
-
 // One ChunkBatchView to the session's sink: the chunks appended since
 // `first`, their digests, and — when the service retains payloads — a view
 // of the rolling tail. Skips chunkless non-eos batches; the eos batch is
@@ -672,7 +647,6 @@ void ChunkingService::finalize_session(Session& s, std::uint64_t total_bytes,
   {
     MutexLock lock(mu_);
     aggregate_.total_bytes += total_bytes;
-    aggregate_.dedup_stored_bytes += r.stored_bytes;
     aggregate_.tenants.push_back(r);  // summary copy; chunks stay in session
     s.complete = true;
   }
@@ -734,15 +708,15 @@ ServiceReport ChunkingService::shutdown() {
       report.virtual_seconds > 0
           ? report.compute_busy_seconds / report.virtual_seconds
           : 0.0;
-  if (index_) {
-    const auto istats = index_->stats();
-    report.dedup_unique_chunks = istats.inserts;
-    // Summed from the store-thread decisions, not derived from the probe
-    // counter: external read-only probes of dedup_index() must not skew it.
-    for (const auto& t : report.tenants) {
-      report.dedup_duplicate_chunks += t.n_duplicate_chunks;
-    }
-    report.index_virtual_seconds = istats.virtual_seconds;
+  if (dedup_) {
+    // The store thread's decisions, read once it has joined — not the index
+    // counters: a self-healed chunk is no index insert, and external
+    // read-only probes of dedup_index() must not skew the totals.
+    const dedup::DedupStats& d = dedup_->stats();
+    report.dedup_unique_chunks = d.chunks_total - d.chunks_duplicate;
+    report.dedup_duplicate_chunks = d.chunks_duplicate;
+    report.dedup_stored_bytes = d.bytes_stored;
+    report.index_virtual_seconds = dedup_->index().virtual_seconds();
   }
   report.wall_seconds = wall_.elapsed_seconds();
   {

@@ -51,8 +51,7 @@
 #include "common/timer.h"
 #include "core/pipeline.h"
 #include "core/sink.h"
-#include "dedup/index.h"
-#include "dedup/store.h"
+#include "dedup/dedup.h"
 #include "core/source.h"
 #include "gpusim/device.h"
 #include "gpusim/spec.h"
@@ -81,12 +80,13 @@ struct ServiceConfig {
   // TenantResult::digests.
   bool fingerprint_on_device = false;
   // Deduplicate every tenant's chunks inline on the store thread against one
-  // service-wide fingerprint index (cross-tenant dedup): per-chunk
-  // lookup_or_insert keyed by the device digest, duplicate counters and
-  // modelled index time reported per tenant. Requires fingerprint_on_device
-  // (the index consumes the device digests). The backend — paper-baseline
-  // map or ChunkStash-style sparse index — is picked by `index.kind`; the
-  // sparse backend's container prefetch cache is keyed per tenant stream.
+  // service-wide fingerprint index (cross-tenant dedup): the per-chunk
+  // dedup::Deduplicator decision keyed by the device digest, with duplicate
+  // and self-heal counters and modelled index time reported per tenant.
+  // Requires fingerprint_on_device (the index consumes the device digests).
+  // The backend — paper-baseline map or ChunkStash-style sparse index — is
+  // picked by `index.kind`; the sparse backend's container prefetch cache is
+  // keyed per tenant stream.
   //
   // With dedup_on_store the service is a full backup target: unique chunk
   // payloads land in a shared content-addressed ChunkStore (duplicates add a
@@ -216,10 +216,11 @@ struct TenantReport {
   std::size_t max_queue_depth = 0;  // backpressure high-water mark
 
   // Inline-dedup counters (dedup_on_store mode): chunks of this stream that
-  // were already in the shared index, the modelled index time this stream's
-  // probes consumed, and the unique payload bytes this stream added to the
-  // shared chunk store.
+  // were already in the shared store, stale index hits it re-stored, the
+  // modelled index time this stream's probes consumed, and the payload bytes
+  // this stream added to the shared chunk store.
   std::uint64_t n_duplicate_chunks = 0;
+  std::uint64_t n_healed_chunks = 0;
   std::uint64_t duplicate_bytes = 0;
   std::uint64_t stored_bytes = 0;
   double index_seconds = 0;
@@ -245,7 +246,8 @@ struct ServiceReport {
   double device_occupancy = 0;         // compute-engine busy fraction
   double init_seconds = 0;             // one-time pinned-ring construction
   double wall_seconds = 0;             // real host time the service ran
-  // Shared-index totals (dedup_on_store mode).
+  // Shared-index totals (dedup_on_store mode); unique counts self-healed
+  // chunks too, so unique + duplicate is every chunk ingested.
   std::uint64_t dedup_unique_chunks = 0;
   std::uint64_t dedup_duplicate_chunks = 0;
   std::uint64_t dedup_stored_bytes = 0;  // payload bytes added to the store
@@ -323,12 +325,12 @@ class ChunkingService {
   const rabin::RabinTables& tables() const noexcept { return tables_; }
   // The shared inline-dedup index; nullptr unless dedup_on_store is set.
   const dedup::IndexBackend* dedup_index() const noexcept {
-    return index_.get();
+    return dedup_ ? &dedup_->index() : nullptr;
   }
   // The shared chunk store holding unique payloads; nullptr unless
   // dedup_on_store is set.
   const dedup::ChunkStore* chunk_store() const noexcept {
-    return store_.get();
+    return dedup_ ? &dedup_->store() : nullptr;
   }
 
   // --- snapshot retention (dedup_on_store mode) ---------------------------
@@ -418,8 +420,6 @@ class ChunkingService {
   void trace_batch(const Session& s, const core::BoundaryBatch& batch,
                    double h2d_finish, double kernel_finish, double fp_finish,
                    double d2h_finish, double index_seconds);
-  // Adds the IndexStats movement since `before` to the index.* counters.
-  void publish_index_delta(const dedup::IndexStats& before);
   void deliver_batch(Session& s, std::size_t first, bool eos);
   void finalize_session(Session& s, std::uint64_t total_bytes,
                         std::size_t batch_first);
@@ -441,10 +441,8 @@ class ChunkingService {
   obs::Counter* m_transport_repairs_ = nullptr;
   std::unique_ptr<core::PipelineEngine> engine_;
   // Shared inline-dedup state, store thread only (dedup_on_store mode).
-  std::unique_ptr<dedup::IndexBackend> index_;
-  std::shared_ptr<dedup::ChunkStore> store_;
+  std::unique_ptr<dedup::Deduplicator> dedup_;
   std::unique_ptr<retention::RetentionManager> retention_;
-  std::uint64_t next_store_offset_ = 0;
   const Stopwatch wall_;
 
   // Backup-transport registry + health history (own lock: touched by backup

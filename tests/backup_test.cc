@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "backup/agent.h"
@@ -124,15 +125,35 @@ TEST(ImageRepository, Validation) {
 
 // --- BackupAgent protocol ---
 
+// One chunk (or, with an empty payload, one pointer) as a one-chunk
+// ExtentBatch: a single unique or duplicate extent.
+struct OneChunk {
+  dedup::ChunkDigest digest;
+  ByteVec payload;
+};
+
+void receive_one(BackupAgent& agent, const std::string& image_id,
+                 const OneChunk& chunk) {
+  BackupAgent::ExtentBatch batch;
+  batch.digests = {chunk.digest};
+  const bool unique = !chunk.payload.empty();
+  batch.extents = {{0, 1, unique}};
+  if (unique) {
+    batch.payload_sizes = {static_cast<std::uint32_t>(chunk.payload.size())};
+    batch.payload = chunk.payload;
+  }
+  agent.receive_batch(image_id, batch);
+}
+
 TEST(BackupAgent, StoresAndRecreates) {
   BackupAgent agent;
   agent.begin_image("img");
   const auto a = random_bytes(100, 1);
   const auto b = random_bytes(50, 2);
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(b)), b});
+  receive_one(agent, "img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
+  receive_one(agent, "img", {dedup::ChunkHasher::hash(as_bytes(b)), b});
   // Duplicate chunk as pointer.
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
+  receive_one(agent, "img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
   const auto out = agent.recreate("img");
   ByteVec expect(a);
   expect.insert(expect.end(), b.begin(), b.end());
@@ -145,7 +166,7 @@ TEST(BackupAgent, PointerToUnknownChunkThrows) {
   BackupAgent agent;
   agent.begin_image("img");
   EXPECT_THROW(
-      agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(random_bytes(8, 3))), {}}),
+      receive_one(agent, "img", {dedup::ChunkHasher::hash(as_bytes(random_bytes(8, 3))), {}}),
       std::invalid_argument);
 }
 
@@ -153,7 +174,7 @@ TEST(BackupAgent, UnknownImageThrows) {
   BackupAgent agent;
   EXPECT_THROW(agent.recreate("nope"), std::invalid_argument);
   const auto a = random_bytes(8, 4);
-  EXPECT_THROW(agent.receive("nope", {dedup::ChunkHasher::hash(as_bytes(a)), a}),
+  EXPECT_THROW(receive_one(agent, "nope", {dedup::ChunkHasher::hash(as_bytes(a)), a}),
                std::invalid_argument);
 }
 
@@ -163,9 +184,9 @@ TEST(BackupAgent, BeginImageIdempotentWhileOpen) {
   BackupAgent agent;
   EXPECT_TRUE(agent.begin_image("img"));
   const auto a = random_bytes(100, 1);
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
+  receive_one(agent, "img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
   EXPECT_FALSE(agent.begin_image("img"));  // no-op re-open
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
+  receive_one(agent, "img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
   EXPECT_EQ(agent.recreate("img").size(), 200u);  // recipe survived intact
   agent.end_image("img", 2);
   EXPECT_TRUE(agent.image_sealed("img"));
@@ -182,7 +203,7 @@ TEST(BackupAgent, EndImageValidatesRecipeLength) {
   BackupAgent agent;
   agent.begin_image("img");
   const auto a = random_bytes(64, 9);
-  agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
+  receive_one(agent, "img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
   try {
     agent.end_image("img", 5);  // truncated stream: only 1 chunk arrived
     FAIL() << "expected ProtocolError";
@@ -192,7 +213,7 @@ TEST(BackupAgent, EndImageValidatesRecipeLength) {
   agent.end_image("img", 1);
   // Data after the seal is a violation too.
   try {
-    agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
+    receive_one(agent, "img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
     FAIL() << "expected ProtocolError";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.violation(), ProtocolViolation::kSealedImage);
@@ -506,11 +527,11 @@ TEST(BackupAgent, CatalogKnobKeepsProtocolExact) {
     BackupAgent agent(cfg);
     agent.begin_image("img");
     const auto a = random_bytes(100, 1);
-    agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
-    agent.receive("img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
+    receive_one(agent, "img", {dedup::ChunkHasher::hash(as_bytes(a)), a});
+    receive_one(agent, "img", {dedup::ChunkHasher::hash(as_bytes(a)), {}});
     EXPECT_THROW(
-        agent.receive(
-            "img", {dedup::ChunkHasher::hash(as_bytes(random_bytes(8, 2))), {}}),
+        receive_one(
+            agent, "img", {dedup::ChunkHasher::hash(as_bytes(random_bytes(8, 2))), {}}),
         std::invalid_argument);
     ByteVec expect(a);
     expect.insert(expect.end(), a.begin(), a.end());

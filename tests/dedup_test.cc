@@ -575,5 +575,39 @@ TEST(Deduplicator, ReconstructionFromStore) {
   EXPECT_EQ(reassembled, data);
 }
 
+TEST(Deduplicator, StaleHitRestoresPayload) {
+  // Ingest, drop every reference so the store frees each chunk, then ingest
+  // the same bytes again: every index hit is now stale, and each must
+  // self-heal by storing the payload again.
+  const auto data = random_bytes(1 << 20, 15);
+  chunking::ChunkerConfig cfg;
+  cfg.window = 32;
+  cfg.mask_bits = 11;
+  cfg.marker = 0x42;
+  const rabin::RabinTables tables(cfg.window);
+  const auto chunks = chunking::chunk_serial(tables, cfg, as_bytes(data));
+  const auto digests = hash_chunks(nullptr, as_bytes(data), chunks);
+  Deduplicator dedup;
+  dedup.ingest(as_bytes(data), chunks, digests);
+  for (const auto& d : digests) dedup.store().release_ref(d);
+  ASSERT_EQ(dedup.store().unique_chunks(), 0u);
+
+  const auto stats = dedup.ingest(as_bytes(data), chunks, digests);
+  EXPECT_EQ(stats.chunks_total, chunks.size());
+  EXPECT_EQ(stats.chunks_duplicate, 0u);
+  EXPECT_EQ(stats.chunks_healed, chunks.size());
+  EXPECT_EQ(stats.bytes_stored, data.size());
+  ByteVec reassembled;
+  for (const auto& d : digests) {
+    const auto stored = dedup.store().get(d);
+    ASSERT_TRUE(stored.has_value());
+    reassembled.insert(reassembled.end(), stored->begin(), stored->end());
+  }
+  EXPECT_EQ(reassembled, data);
+  // The cumulative counters cover both ingests.
+  EXPECT_EQ(dedup.stats().chunks_total, 2 * chunks.size());
+  EXPECT_EQ(dedup.stats().chunks_healed, chunks.size());
+}
+
 }  // namespace
 }  // namespace shredder::dedup

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,8 +17,10 @@
 #include "backup/agent.h"
 #include "backup/backup_server.h"
 #include "backup/image.h"
+#include "chunking/cdc.h"
 #include "common/rng.h"
 #include "core/source.h"
+#include "dedup/dedup.h"
 #include "dedup/sparse_index.h"
 #include "dedup/store.h"
 #include "obs/registry.h"
@@ -663,6 +666,214 @@ TEST(RetentionService, PerTenantImageDeleteOverSharedStore) {
   EXPECT_EQ(rebuilt, b_payload);
   // Unknown tenant/image stays a typed error.
   EXPECT_THROW(svc.delete_image("alice", "alice-snap1"), RetentionError);
+  svc.shutdown();
+}
+
+TEST(RetentionService, ReingestAfterDeleteAndGcCountsEveryChunk) {
+  // Every chunk of a re-ingested, deleted and swept image is a stale index
+  // hit. The report must still account for every chunk — self-healed ones
+  // as unique — and count their re-stored payloads.
+  service::ServiceConfig cfg;
+  cfg.chunker.window = 32;
+  cfg.chunker.mask_bits = 11;
+  cfg.chunker.marker = 0x42;
+  cfg.chunker.min_size = 512;
+  cfg.chunker.max_size = 8 * 1024;
+  cfg.buffer_bytes = 256 * 1024;
+  cfg.sim_threads = 2;
+  cfg.fingerprint_on_device = true;
+  cfg.dedup_on_store = true;
+  service::ChunkingService svc(cfg);
+
+  const auto payload = payload_for(303, 1024 * 1024);
+  const auto run = [&](const std::string& image) {
+    core::MemorySource source(as_bytes(payload), cfg.host.reader_bw);
+    service::TenantOptions opts;
+    opts.name = "tenant";
+    opts.image_id = image;
+    return svc.chunk_stream(source, std::move(opts));
+  };
+  const auto first = run("v1");
+  svc.delete_image("tenant", "v1");
+  ASSERT_EQ(svc.retention()->gc().chunks_freed, first.chunks.size());
+  const auto second = run("v2");
+  ASSERT_EQ(second.chunks, first.chunks);
+  EXPECT_EQ(second.report.n_duplicate_chunks, 0u);
+  EXPECT_EQ(second.report.n_healed_chunks, second.chunks.size());
+  EXPECT_EQ(second.report.stored_bytes, payload.size());
+
+  const auto report = svc.shutdown();
+  EXPECT_EQ(report.dedup_unique_chunks + report.dedup_duplicate_chunks,
+            first.chunks.size() + second.chunks.size());
+  EXPECT_EQ(report.dedup_duplicate_chunks, 0u);
+  EXPECT_EQ(report.dedup_stored_bytes, 2 * payload.size());
+}
+
+// --- Differential: every ingest frontend makes the same decisions ------------
+
+// Per-snapshot decision counts of one frontend.
+struct SnapshotCounts {
+  std::uint64_t chunks = 0;
+  std::uint64_t duplicate = 0;
+  std::uint64_t healed = 0;
+  bool operator==(const SnapshotCounts&) const = default;
+};
+
+// One ingest frontend driven through the differential stream: back up a
+// snapshot, delete one, sweep; then expose the store it deduplicated into.
+struct Frontend {
+  std::string name;
+  std::function<SnapshotCounts(const std::string& id, const ByteVec& image)>
+      ingest;
+  std::function<void(const std::string& id)> delete_and_gc;
+  std::function<const ChunkStore&()> store;
+};
+
+TEST(IngestDifferential, EveryFrontendMakesTheSameDecisions) {
+  // Three snapshots of one master, with snapshot s1 deleted and swept
+  // between s2 and s3. s3 then holds fresh chunks, duplicates of s2 and
+  // stale index hits on s1-only chunks the sweep freed, which must self-heal.
+  backup::ImageRepoConfig repo_cfg;
+  repo_cfg.image_bytes = 1024 * 1024;
+  repo_cfg.segment_bytes = 32 * 1024;
+  repo_cfg.seed = 23;
+  backup::ImageRepository repo(repo_cfg);
+  const std::vector<std::string> ids{"s1", "s2", "s3"};
+  std::vector<ByteVec> images;
+  for (std::uint64_t k = 1; k <= 3; ++k) images.push_back(repo.snapshot(0.5, k));
+
+  chunking::ChunkerConfig chunker;
+  chunker.window = 32;
+  chunker.mask_bits = 11;
+  chunker.marker = 0x42;
+  chunker.min_size = 512;
+  chunker.max_size = 8 * 1024;
+  const rabin::RabinTables tables(chunker.window);
+
+  // Library Deduplicator over a deferred store; the delete is a release_ref
+  // walk over the snapshot's chunks, the GC a sweep of the zero-ref entries.
+  dedup::Deduplicator dd(dedup::IndexConfig{},
+                         std::make_shared<ChunkStore>(/*deferred_reclaim=*/true));
+  std::map<std::string, std::vector<ChunkDigest>> dd_manifests;
+  Frontend library{
+      "Deduplicator",
+      [&](const std::string& id, const ByteVec& image) {
+        const auto chunks = chunking::chunk_serial(tables, chunker, as_bytes(image));
+        auto digests = dedup::hash_chunks(nullptr, as_bytes(image), chunks);
+        const auto st = dd.ingest(as_bytes(image), chunks, digests);
+        dd_manifests[id] = std::move(digests);
+        return SnapshotCounts{st.chunks_total, st.chunks_duplicate,
+                              st.chunks_healed};
+      },
+      [&](const std::string& id) {
+        for (const auto& d : dd_manifests.at(id)) dd.store().release_ref(d);
+        dd.store().sweep_zero_refs();
+      },
+      [&]() -> const ChunkStore& { return dd.store(); }};
+
+  const auto server_frontend = [&](const std::string& name,
+                                   backup::BackupServerConfig cfg) {
+    cfg.chunker = chunker;
+    cfg.shredder.buffer_bytes = 256 * 1024;
+    cfg.shredder.sim_threads = 2;
+    cfg.cpu_threads = 2;
+    auto server = std::make_shared<backup::BackupServer>(cfg);
+    auto agent = std::make_shared<backup::BackupAgent>();
+    return Frontend{
+        name,
+        [=, &repo](const std::string& id, const ByteVec& image) {
+          const auto st = server->backup_image(id, as_bytes(image), repo, *agent);
+          EXPECT_TRUE(st.verified) << name << " " << id;
+          return SnapshotCounts{st.chunks, st.duplicate_chunks, st.healed_chunks};
+        },
+        [=](const std::string& id) {
+          server->delete_image(id);
+          agent->delete_image(id);
+          server->gc();
+        },
+        [=]() -> const ChunkStore& { return *server->retention().store(); }};
+  };
+  backup::BackupServerConfig cpu_cfg;
+  cpu_cfg.backend = backup::ChunkerBackend::kPthreadsCpu;
+  backup::BackupServerConfig gpu_cfg;
+  gpu_cfg.backend = backup::ChunkerBackend::kShredderGpu;
+  gpu_cfg.fingerprint_on_device = true;
+
+  service::ServiceConfig svc_cfg;
+  svc_cfg.chunker = chunker;
+  svc_cfg.buffer_bytes = 256 * 1024;
+  svc_cfg.sim_threads = 2;
+  svc_cfg.fingerprint_on_device = true;
+  svc_cfg.dedup_on_store = true;
+  service::ChunkingService svc(svc_cfg);
+  Frontend inline_dedup{
+      "ChunkingService",
+      [&](const std::string& id, const ByteVec& image) {
+        core::MemorySource source(as_bytes(image), svc_cfg.host.reader_bw);
+        service::TenantOptions opts;
+        opts.name = "tenant";
+        opts.image_id = id;
+        const auto r = svc.chunk_stream(source, std::move(opts)).report;
+        return SnapshotCounts{r.n_chunks, r.n_duplicate_chunks,
+                              r.n_healed_chunks};
+      },
+      [&](const std::string& id) {
+        svc.delete_image("tenant", id);
+        svc.retention()->gc();
+      },
+      [&]() -> const ChunkStore& { return *svc.chunk_store(); }};
+
+  std::vector<Frontend> frontends{library,
+                                  server_frontend("BackupServer/cpu", cpu_cfg),
+                                  server_frontend("BackupServer/gpu", gpu_cfg),
+                                  inline_dedup};
+  std::vector<std::vector<SnapshotCounts>> counts(frontends.size());
+  for (std::size_t f = 0; f < frontends.size(); ++f) {
+    for (std::size_t k = 0; k < images.size(); ++k) {
+      if (k == 2) frontends[f].delete_and_gc("s1");
+      counts[f].push_back(frontends[f].ingest(ids[k], images[k]));
+    }
+  }
+
+  // The stream exercises every decision: s3 has fresh chunks, duplicates
+  // and self-healed stale hits, and only stale hits are healed.
+  const auto& ref = counts[0];
+  EXPECT_EQ(ref[0].duplicate + ref[0].healed, 0u);
+  EXPECT_EQ(ref[1].healed, 0u);
+  EXPECT_GT(ref[2].healed, 0u);
+  EXPECT_GT(ref[2].duplicate, 0u);
+  EXPECT_GT(ref[2].chunks, ref[2].duplicate + ref[2].healed);
+
+  // Identical decisions per snapshot, and identical store contents: the
+  // same digests at the same reference counts.
+  std::vector<ChunkDigest> all_digests;
+  for (const auto& [id, digests] : dd_manifests) {
+    all_digests.insert(all_digests.end(), digests.begin(), digests.end());
+  }
+  const ChunkStore& ref_store = frontends[0].store();
+  for (std::size_t f = 0; f < frontends.size(); ++f) {
+    const auto& name = frontends[f].name;
+    for (std::size_t k = 0; k < images.size(); ++k) {
+      EXPECT_EQ(counts[f][k], ref[k]) << name << " " << ids[k];
+    }
+    const ChunkStore& store = frontends[f].store();
+    EXPECT_EQ(store.unique_chunks(), ref_store.unique_chunks()) << name;
+    EXPECT_EQ(store.unique_bytes(), ref_store.unique_bytes()) << name;
+    EXPECT_EQ(store.total_refs(), ref_store.total_refs()) << name;
+    for (const auto& d : all_digests) {
+      ASSERT_EQ(store.ref_count(d), ref_store.ref_count(d)) << name;
+    }
+    // The surviving snapshots reassemble from the store.
+    for (const std::size_t k : {1, 2}) {
+      ByteVec rebuilt;
+      for (const auto& d : dd_manifests.at(ids[k])) {
+        const auto bytes = store.get(d);
+        ASSERT_TRUE(bytes.has_value()) << name << " " << ids[k];
+        rebuilt.insert(rebuilt.end(), bytes->begin(), bytes->end());
+      }
+      EXPECT_EQ(rebuilt, images[k]) << name << " " << ids[k];
+    }
+  }
   svc.shutdown();
 }
 

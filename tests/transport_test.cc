@@ -2,7 +2,8 @@
 // (backup/transport.h): differential schedules of loss, reordering,
 // duplication, delay and agent stalls must never change a delivered byte,
 // only the accounted recovery work. Also the typed-ProtocolError negative
-// tests for malformed frames and the LinkStats accounting identities.
+// tests for malformed frames, the LinkStats accounting identities and the
+// per-chunk framing price.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,7 +13,6 @@
 #include "backup/agent.h"
 #include "backup/backup_server.h"
 #include "backup/image.h"
-#include "backup/link.h"
 #include "backup/transport.h"
 #include "common/rng.h"
 #include "service/service.h"
@@ -103,13 +103,12 @@ void expect_accounting(const TransportStats& ts) {
 
 // --- differential fault matrix --------------------------------------------
 
-TEST(Transport, LosslessMatchesAgentLinkStream) {
+TEST(Transport, LosslessMatchesDirectBatchStream) {
   const Stream s = make_stream(11, 6, 24);
-  // Reference: the fire-and-forget link.
+  // Reference: an agent fed the batches directly, no wire in between.
   BackupAgent ref_agent;
-  AgentLink link(ref_agent, LinkCostModel{});
-  link.begin_image("img");
-  for (const auto& batch : s.batches) link.send_batch("img", batch);
+  ref_agent.begin_image("img");
+  for (const auto& batch : s.batches) ref_agent.receive_batch("img", batch);
   EXPECT_EQ(ref_agent.recreate("img"), s.image);
 
   BackupAgent agent;
@@ -128,7 +127,7 @@ TEST(Transport, LosslessMatchesAgentLinkStream) {
   EXPECT_EQ(agent.unique_bytes(), ref_agent.unique_bytes());
   // The logical link accounting covers every chunk exactly once, and the
   // makespan of the serialized simulation stays within the final handshake
-  // of the fire-and-forget serialized time.
+  // of the logical serialized time.
   EXPECT_EQ(ts.link.chunks, 6u * 24u);
   EXPECT_NEAR(ts.virtual_seconds, ts.link.virtual_seconds, 1e-3);
 }
@@ -457,12 +456,15 @@ TEST(BackupAgent, MalformedFramesCarryTypedViolations) {
   EXPECT_EQ(agent.recreate("img"), a);
 }
 
-// --- LinkStats accounting (mixed send / send_batch) ------------------------
+// --- LinkStats accounting and the per-chunk price ---------------------------
 
-TEST(AgentLink, MixedTrafficAccountingIsExact) {
+TEST(LinkStats, MixedTrafficAccountingIsExact) {
+  // One-chunk frames (what per-chunk framing ships) beside a mixed batch:
+  // the logical link charges every original frame its header plus content,
+  // control frames included.
   const LinkCostModel costs;
   BackupAgent agent;
-  AgentLink link(agent, costs);
+  Transport t(agent, TransportConfig{});
 
   const auto a = random_bytes(1000, 1);
   const auto b = random_bytes(500, 2);
@@ -478,26 +480,38 @@ TEST(AgentLink, MixedTrafficAccountingIsExact) {
                    costs.bw;
   };
 
-  link.begin_image("img");
+  t.begin_image("img");
   msg(3);  // "img"
-  link.send("img", {da, a});
-  msg(sizeof(dedup::ChunkDigest) + a.size());
-  link.send("img", {da, {}});
-  msg(sizeof(dedup::ChunkDigest));
+  BackupAgent::ExtentBatch unique_a;
+  unique_a.digests = {da};
+  unique_a.extents = {{0, 1, true}};
+  unique_a.payload_sizes = {static_cast<std::uint32_t>(a.size())};
+  unique_a.payload = a;
+  t.send_batch("img", unique_a);
+  msg(sizeof(dedup::ChunkDigest) + costs.extent_record_bytes +
+      sizeof(std::uint32_t) + a.size());
+  BackupAgent::ExtentBatch pointer_a;
+  pointer_a.digests = {da};
+  pointer_a.extents = {{0, 1, false}};
+  t.send_batch("img", pointer_a);
+  msg(sizeof(dedup::ChunkDigest) + costs.extent_record_bytes);
 
   BackupAgent::ExtentBatch batch;
   batch.digests = {db, da};
   batch.extents = {{0, 1, true}, {1, 1, false}};
   batch.payload_sizes = {static_cast<std::uint32_t>(b.size())};
   batch.payload = b;
-  link.send_batch("img", batch);
+  t.send_batch("img", batch);
   msg(2 * sizeof(dedup::ChunkDigest) + 2 * costs.extent_record_bytes +
       sizeof(std::uint32_t) + b.size());
+  t.end_image("img");
+  msg(3 + sizeof(std::uint64_t));  // "img" + the chunk count
+  t.flush();
 
-  const LinkStats& st = link.stats();
-  EXPECT_EQ(st.messages, 4u);
-  EXPECT_EQ(st.chunks, 4u);    // 2 per-chunk sends + 2 batch entries
-  EXPECT_EQ(st.extents, 2u);   // only batch messages carry extent records
+  const LinkStats& st = t.stats().link;
+  EXPECT_EQ(st.messages, 5u);
+  EXPECT_EQ(st.chunks, 4u);    // 2 one-chunk frames + 2 batch entries
+  EXPECT_EQ(st.extents, 4u);   // one record per run: 1 + 1 + 2
   EXPECT_EQ(st.wire_bytes, wire);
   EXPECT_EQ(st.payload_bytes, a.size() + b.size());
   EXPECT_NEAR(st.virtual_seconds, seconds, 1e-12);
@@ -508,6 +522,22 @@ TEST(AgentLink, MixedTrafficAccountingIsExact) {
     e.insert(e.end(), a.begin(), a.end());
     return e;
   }());
+
+  // The per-chunk price of the same four chunks: a begin message carrying
+  // the id, then one message per chunk — digest, plus payload when unique.
+  const LinkStats price =
+      per_chunk_link_price(costs, 4, a.size() + b.size(), 3);
+  const std::uint64_t price_wire = 5 * costs.msg_header_bytes + 3 +
+                                   4 * sizeof(dedup::ChunkDigest) + a.size() +
+                                   b.size();
+  EXPECT_EQ(price.messages, 5u);
+  EXPECT_EQ(price.chunks, 4u);
+  EXPECT_EQ(price.extents, 0u);
+  EXPECT_EQ(price.payload_bytes, a.size() + b.size());
+  EXPECT_EQ(price.wire_bytes, price_wire);
+  EXPECT_NEAR(price.virtual_seconds,
+              5 * costs.msg_s + static_cast<double>(price_wire) / costs.bw,
+              1e-15);
 }
 
 // --- end-to-end through BackupServer ---------------------------------------
