@@ -58,6 +58,14 @@ compile time is spent. Two invariant families:
    which records what arrived rather than deciding what to ship. A new call
    anywhere else is a forked decision path, flagged by name.
 
+6. Single cut. core::PipelineEngine's per-stream cutter is the only min/max
+   cut over a pipeline stream: every batch carries final chunk ends, so no
+   frontend filters raw boundaries itself. Under src/, `MinMaxFilter` may
+   therefore appear (comments stripped) only in src/chunking/, which
+   defines it, and src/core/pipeline.cc, which runs it. A use anywhere else
+   is a second cut whose batch grouping can drift from the engine's,
+   flagged by name.
+
 Exit status: 0 = clean, 1 = violations (one line each on stderr),
 2 = usage/internal error. `--self-test` runs the checker over the fixture
 trees in tests/lint_fixtures/ and verifies each violation kind is caught.
@@ -123,6 +131,11 @@ RETENTION_FORBIDDEN_MODULES = ("service", "backup")
 # see docstring point 5), relative to src/: a module directory or a file.
 INGEST_DECISION_OWNERS = ("dedup/", "backup/agent.cc")
 INGEST_DECISION_RE = re.compile(r"\blookup_or_insert\s*\(")
+
+# Where the min/max filter may be used (single cut; see docstring point 6),
+# relative to src/: a module directory or a file.
+CUT_OWNERS = ("chunking/", "core/pipeline.cc")
+CUT_RE = re.compile(r"\bMinMaxFilter\b")
 
 
 def transitive_closure(direct: dict[str, set[str]]) -> dict[str, set[str]]:
@@ -254,26 +267,41 @@ def check_sink_isolation(src: Path) -> list[str]:
     return errors
 
 
-def check_ingest_decision(src: Path) -> list[str]:
-    errors = []
+def owned_token_uses(src: Path, owners: tuple[str, ...],
+                     token: re.Pattern[str]):
+    """Yields (path, lineno, line) for every comment-stripped match of
+    `token` under src/ outside `owners` (module dirs ending in / or files)."""
     for path in sorted(src.rglob("*")):
         if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
             continue
         rel_src = path.relative_to(src).as_posix()
         if any(rel_src == owner or (owner.endswith("/") and
                                     rel_src.startswith(owner))
-               for owner in INGEST_DECISION_OWNERS):
+               for owner in owners):
             continue
         for lineno, raw in enumerate(
                 path.read_text(errors="replace").splitlines(), 1):
-            if INGEST_DECISION_RE.search(strip_comments(raw)):
-                rel = path.relative_to(src.parent)
-                errors.append(
-                    f"{rel}:{lineno}: single ingest decision violation: "
-                    f"lookup_or_insert( outside dedup::Deduplicator — call "
-                    f"Deduplicator::ingest_chunk instead of forking the "
-                    f"probe -> ref -> store walk: {raw.strip()}")
-    return errors
+            if token.search(strip_comments(raw)):
+                yield path, lineno, raw
+
+
+def check_ingest_decision(src: Path) -> list[str]:
+    return [
+        f"{path.relative_to(src.parent)}:{lineno}: single ingest decision "
+        f"violation: lookup_or_insert( outside dedup::Deduplicator — call "
+        f"Deduplicator::ingest_chunk instead of forking the "
+        f"probe -> ref -> store walk: {raw.strip()}"
+        for path, lineno, raw in owned_token_uses(
+            src, INGEST_DECISION_OWNERS, INGEST_DECISION_RE)]
+
+
+def check_single_cut(src: Path) -> list[str]:
+    return [
+        f"{path.relative_to(src.parent)}:{lineno}: single cut violation: "
+        f"MinMaxFilter outside src/chunking/ and src/core/pipeline.cc — "
+        f"consume the engine's BoundaryBatch::chunk_ends instead of "
+        f"cutting raw boundaries a second time: {raw.strip()}"
+        for path, lineno, raw in owned_token_uses(src, CUT_OWNERS, CUT_RE)]
 
 
 def run_checks(root: Path) -> list[str]:
@@ -283,7 +311,7 @@ def run_checks(root: Path) -> list[str]:
     assert_acyclic(DIRECT_DEPS)
     return (check_layering(src) + check_wall_clock(src)
             + check_retention_isolation(src) + check_sink_isolation(src)
-            + check_ingest_decision(src))
+            + check_ingest_decision(src) + check_single_cut(src))
 
 
 def self_test(repo_root: Path) -> int:
@@ -307,6 +335,7 @@ def self_test(repo_root: Path) -> int:
     expect("bad_sink_dep", 1, "sink isolation")
     expect("bad_retention_dep", 2, "retention isolation")
     expect("bad_ingest_fork", 1, "single ingest decision")
+    expect("bad_second_cut", 1, "single cut")
 
     # The word-boundary regex must not flag identifiers ending in `time`.
     clean_errors = run_checks(fixtures / "clean")
@@ -345,8 +374,8 @@ def main() -> int:
         print(f"check_invariants.py: {len(errors)} violation(s)",
               file=sys.stderr)
         return 1
-    print("check_invariants.py: module DAG, wall-clock, isolation and "
-          "single-ingest-decision invariants hold")
+    print("check_invariants.py: module DAG, wall-clock, isolation, "
+          "single-ingest-decision and single-cut invariants hold")
     return 0
 
 

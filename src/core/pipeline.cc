@@ -25,21 +25,21 @@ double store_stage_seconds(const gpu::DeviceSpec& spec,
          static_cast<double>(n_boundaries) * 2e-9;
 }
 
-// Device-side chunk resolution for the fingerprint stage. The cutter is a
-// MinMaxFilter fed the buffer's raw boundaries plus a drain_forced() at each
-// buffer end, which makes every chunk end at or before the buffer's last
-// payload byte final while the bytes are still resident — the emitted
-// sequence is provably identical to the plain store-side filter's (see
-// drain_forced in chunking/minmax.h). `ctx` accumulates the open chunk's
-// hash across buffers so chunks larger than a buffer never need evicted
-// bytes re-read.
-struct PipelineEngine::FingerprintSession {
-  std::vector<std::uint64_t> pending;  // cuts resolved for the current buffer
-  chunking::MinMaxFilter cutter;
+// Device-side chunk resolution, one per live stream. The cutter is a
+// MinMaxFilter fed each buffer's raw boundaries, so batches group chunks
+// exactly as a store-side filter would. The fingerprint stage adds a
+// drain_forced() at each buffer end, which makes every chunk end at or
+// before the buffer's last payload byte final while the bytes are still
+// resident — the emitted sequence is provably identical (see drain_forced
+// in chunking/minmax.h). `ctx` accumulates the open chunk's hash across
+// buffers so chunks larger than a buffer never need evicted bytes re-read.
+struct PipelineEngine::StreamCutter {
+  std::vector<std::uint64_t> pending;  // cuts resolved for the current batch
+  chunking::MinMaxFilter filter;
   dedup::ChunkHasher ctx;
 
-  FingerprintSession(std::uint64_t min_size, std::uint64_t max_size)
-      : cutter(min_size, max_size,
+  StreamCutter(std::uint64_t min_size, std::uint64_t max_size)
+      : filter(min_size, max_size,
                [this](std::uint64_t end) { pending.push_back(end); }) {}
 };
 
@@ -161,71 +161,63 @@ void PipelineEngine::record_error_and_unblock() {
   to_store_.close();
 }
 
-bool PipelineEngine::submit(StreamBuffer buf) {
-  SHREDDER_CHECK_MSG(!buf.eos || buf.data.empty(),
-                     "PipelineEngine: eos buffers must carry no data");
-  if (buf.eos) {
-    StagedItem item;
-    item.meta = std::move(buf);
-    return to_transfer_.push(std::move(item));
-  }
-  const std::size_t len = buf.carry_prefix.size() + buf.data.size();
-  std::optional<WritableSlot> slot;
+std::optional<WritableSlot> PipelineEngine::lease_slot(
+    const StreamCursor& cursor) {
+  WritableSlot slot;
+  MutableByteSpan bytes;
   if (pipelined()) {
-    slot = lease_slot();
-    if (!slot.has_value()) return false;
-    SHREDDER_CHECK(len <= slot->bytes.size());
-    const auto out = std::copy(buf.carry_prefix.begin(),
-                               buf.carry_prefix.end(), slot->bytes.begin());
-    std::copy(buf.data.begin(), buf.data.end(), out);
+    const auto index = pool_->acquire();
+    if (!index.has_value()) return std::nullopt;
+    slot.lease = SlotLease::from_slot(pool_, *index, config_.slot_bytes);
+    bytes = pool_->slot_span(*index);
   } else {
-    // Basic (pageable) mode DMAs straight from host memory, which must be
-    // one contiguous span: keep `data` as is, or splice prefix + payload.
-    ByteVec staged;
-    if (buf.carry_prefix.empty()) {
-      staged = std::move(buf.data);
-    } else {
-      staged.reserve(len);
-      staged.insert(staged.end(), buf.carry_prefix.begin(),
-                    buf.carry_prefix.end());
-      staged.insert(staged.end(), buf.data.begin(), buf.data.end());
-    }
-    const MutableByteSpan bytes(staged);
-    slot = WritableSlot{SlotLease::from_owned(std::move(staged)), bytes};
-  }
-  buf.carry += buf.carry_prefix.size();
-  buf.data = ByteVec{};
-  buf.carry_prefix = ByteVec{};
-  return submit_slot(std::move(*slot), len, std::move(buf));
-}
-
-std::optional<WritableSlot> PipelineEngine::lease_slot() {
-  if (!pipelined()) {
     // The paper's pageable baseline: a fresh vector per buffer, whose heap
     // block (and so `bytes`) survives the move into the lease.
     ByteVec owned(config_.slot_bytes);
-    const MutableByteSpan bytes(owned);
-    return WritableSlot{SlotLease::from_owned(std::move(owned)), bytes};
+    bytes = MutableByteSpan(owned);
+    slot.lease = SlotLease::from_owned(std::move(owned));
   }
-  const auto slot = pool_->acquire();
-  if (!slot.has_value()) return std::nullopt;
-  return WritableSlot{SlotLease::from_slot(pool_, *slot, config_.slot_bytes),
-                      pool_->slot_span(*slot)};
+  SHREDDER_CHECK(cursor.carry.size() < bytes.size());
+  std::copy(cursor.carry.begin(), cursor.carry.end(), bytes.begin());
+  slot.carry = cursor.carry.size();
+  slot.payload = bytes.subspan(slot.carry);
+  return slot;
 }
 
-bool PipelineEngine::submit_slot(WritableSlot slot, std::size_t len,
-                                 StreamBuffer meta) {
-  SHREDDER_CHECK(!meta.eos && meta.data.empty() && meta.carry_prefix.empty());
-  SHREDDER_CHECK(meta.carry <= len && len <= slot.bytes.size());
+bool PipelineEngine::submit_slot(StreamCursor& cursor, WritableSlot slot,
+                                 std::size_t payload_len, StreamBuffer meta) {
+  SHREDDER_CHECK(!meta.eos && payload_len > 0 &&
+                 payload_len <= slot.payload.size());
+  const std::size_t len = slot.carry + payload_len;
+  meta.stream_id = cursor.stream_id;
+  meta.seq = cursor.seq++;
+  meta.carry = slot.carry;
+  meta.base_offset = cursor.offset - slot.carry;
+  cursor.offset += payload_len;
   StagedItem item;
   item.data_len = len;
   // The staged bytes live in the slot; the lease is the ONLY host copy,
   // travelling with the item all the way to the consumer as
   // BoundaryBatch::payload.
   item.lease = slot.lease.first(len);
-  item.meta = std::move(meta);
+  // The carry rule: the next buffer re-stages this one's last w-1 bytes.
+  const ByteSpan tail =
+      item.lease.bytes().last(std::min(chunker_.window - 1, len));
+  cursor.carry.assign(tail.begin(), tail.end());
+  item.meta = meta;
   // On push failure the moved-from item is destroyed inside push(); its
   // lease drops and the slot recycles automatically.
+  return to_transfer_.push(std::move(item));
+}
+
+bool PipelineEngine::submit_eos(StreamCursor& cursor) {
+  StagedItem item;
+  item.meta.stream_id = cursor.stream_id;
+  item.meta.seq = cursor.seq++;
+  item.meta.eos = true;
+  // For eos markers base_offset carries the stream's total byte count so
+  // the consumer can finalize without extra synchronization.
+  item.meta.base_offset = cursor.offset;
   return to_transfer_.push(std::move(item));
 }
 
@@ -254,54 +246,55 @@ void PipelineEngine::transfer_loop() {
   }
 }
 
-PipelineEngine::FingerprintSession& PipelineEngine::fp_session(
-    std::uint32_t stream_id) {
-  auto it = fp_sessions_.find(stream_id);
-  if (it == fp_sessions_.end()) {
-    it = fp_sessions_
-             .emplace(stream_id, std::make_unique<FingerprintSession>(
+PipelineEngine::StreamCutter& PipelineEngine::cutter(std::uint32_t stream_id) {
+  auto it = cutters_.find(stream_id);
+  if (it == cutters_.end()) {
+    it = cutters_
+             .emplace(stream_id, std::make_unique<StreamCutter>(
                                      chunker_.min_size, chunker_.max_size))
              .first;
   }
   return *it->second;
 }
 
-// Runs the fingerprint kernel for one chunked buffer: resolve the chunk ends
-// this buffer makes final, hash them over the resident device twin, and
-// attach (ends, digests, stage seconds) to the batch.
-void PipelineEngine::fingerprint_batch(StagedItem& item, BoundaryBatch& batch) {
-  FingerprintSession& s = fp_session(item.meta.stream_id);
+// Resolves the chunk ends this buffer makes final. When fingerprinting, the
+// max-size cuts up to the buffer's end are drained too and the fingerprint
+// kernel hashes them over the resident device twin, attaching digests and
+// stage seconds to the batch.
+void PipelineEngine::cut_batch(StagedItem& item, BoundaryBatch& batch) {
+  StreamCutter& s = cutter(item.meta.stream_id);
   s.pending.clear();
-  for (const std::uint64_t b : batch.boundaries) s.cutter.push(b);
-  s.cutter.drain_forced(batch.payload_end);
-  GpuFingerprintResult fr = fingerprint_on_gpu(
-      device_, twins_[item.dev_slot], item.data_len, item.meta.carry,
-      item.meta.base_offset, s.pending, s.ctx, kparams_);
-  batch.stages.fingerprint = fr.stats.virtual_seconds;
-  batch.fingerprint_stats = fr.stats;
+  for (const std::uint64_t b : batch.boundaries) s.filter.push(b);
+  if (config_.fingerprint) {
+    s.filter.drain_forced(batch.payload_end);
+    GpuFingerprintResult fr = fingerprint_on_gpu(
+        device_, twins_[item.dev_slot], item.data_len, item.meta.carry,
+        item.meta.base_offset, s.pending, s.ctx, kparams_);
+    batch.stages.fingerprint = fr.stats.virtual_seconds;
+    batch.fingerprint_stats = fr.stats;
+    batch.digests = std::move(fr.digests);
+  }
   batch.chunk_ends = std::move(s.pending);
-  batch.digests = std::move(fr.digests);
   s.pending = {};
 }
 
-// eos: closes the stream's trailing chunk. All payload bytes have already
-// been absorbed into the carried hash context, so the final digest needs no
-// device work beyond the finalize round.
-void PipelineEngine::finish_fingerprint(std::uint32_t stream_id,
-                                        std::uint64_t total,
-                                        BoundaryBatch& batch) {
-  const auto it = fp_sessions_.find(stream_id);
-  if (it == fp_sessions_.end()) return;  // empty stream: nothing to close
-  FingerprintSession& s = *it->second;
+// eos: closes the stream's trailing chunk ends. When fingerprinting, every
+// payload byte has already been absorbed into the carried hash context, so
+// the final digest needs no device work beyond the finalize round.
+void PipelineEngine::finish_stream(std::uint32_t stream_id,
+                                   std::uint64_t total, BoundaryBatch& batch) {
+  const auto it = cutters_.find(stream_id);
+  if (it == cutters_.end()) return;  // empty stream: nothing to close
+  StreamCutter& s = *it->second;
   s.pending.clear();
-  s.cutter.finish(total);
-  SHREDDER_CHECK_MSG(s.pending.size() <= 1,
-                     "fingerprint eos resolved more than the trailing chunk");
-  if (!s.pending.empty()) {
-    batch.chunk_ends = std::move(s.pending);
-    batch.digests.push_back(s.ctx.finish());
+  s.filter.finish(total);
+  if (config_.fingerprint) {
+    SHREDDER_CHECK_MSG(s.pending.size() <= 1,
+                       "fingerprint eos resolved more than the trailing chunk");
+    if (!s.pending.empty()) batch.digests.push_back(s.ctx.finish());
   }
-  fp_sessions_.erase(it);
+  batch.chunk_ends = std::move(s.pending);
+  cutters_.erase(it);
 }
 
 void PipelineEngine::kernel_loop() {
@@ -312,12 +305,8 @@ void PipelineEngine::kernel_loop() {
       batch.seq = item->meta.seq;
       if (item->meta.eos) {
         batch.eos = true;
-        // For eos markers base_offset carries the stream's total byte count
-        // so the consumer can finalize without extra synchronization.
-        batch.payload_end = item->meta.base_offset;
-        if (config_.fingerprint) {
-          finish_fingerprint(batch.stream_id, batch.payload_end, batch);
-        }
+        batch.payload_end = item->meta.base_offset;  // the stream's total
+        finish_stream(batch.stream_id, batch.payload_end, batch);
         if (!to_store_.push(std::move(batch))) return;
         continue;
       }
@@ -340,14 +329,12 @@ void PipelineEngine::kernel_loop() {
         m_h2d_s_->observe(batch.stages.transfer);
         m_kernel_s_->observe(batch.stages.kernel);
       }
-      if (config_.fingerprint) {
-        // The hash kernel reads the same resident twin, so it must finish
-        // before the twin is released; the next buffer's H2D still overlaps
-        // on the other twin — exactly the copy/compute overlap of §4.1.1.
-        fingerprint_batch(*item, batch);
-        if (m_fingerprint_s_ != nullptr) {
-          m_fingerprint_s_->observe(batch.stages.fingerprint);
-        }
+      // The hash kernel reads the same resident twin, so it must finish
+      // before the twin is released; the next buffer's H2D still overlaps
+      // on the other twin — exactly the copy/compute overlap of §4.1.1.
+      cut_batch(*item, batch);
+      if (config_.fingerprint && m_fingerprint_s_ != nullptr) {
+        m_fingerprint_s_->observe(batch.stages.fingerprint);
       }
       // The staged bytes always ride back with the batch: slot-backed lease
       // in streams modes, an owned host vector in basic mode. Non-retaining

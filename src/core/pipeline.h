@@ -11,11 +11,14 @@
 // Stage layout (each arrow is a bounded queue; depth bounds the buffers in
 // flight, exactly like Figure 8's ring):
 //
-//   submit() ──copy into leased pinned slot──┐
-//   lease_slot() → producer reads in place ──┴► submit_slot() ──► transfer
-//     thread (H2D DMA into a free device twin)
-//   ──► kernel thread (chunk_on_gpu [+ fingerprint_on_gpu]) ──►
+//   lease_slot() → producer writes its payload in place behind the carry
+//   ──► submit_slot() ──► transfer thread (H2D DMA into a free device twin)
+//   ──► kernel thread (chunk_on_gpu, per-stream min/max cut
+//       [+ fingerprint_on_gpu]) ──►
 //       next_batch() on the caller (batch carries the slot's SlotLease)
+//
+// A leased slot is the only way in, and the kernel thread's per-stream
+// min/max cutter is the only cut: every batch carries final chunk ends.
 //
 // The ring, twins and stage threads are built once and serve stream after
 // stream (§4.1.2): the service multiplexes many streams over one engine,
@@ -23,13 +26,13 @@
 // stream.
 //
 // With config.fingerprint set, the kernel thread runs a second device
-// kernel per buffer: it resolves the final (min/max-filtered) chunk ends on
-// the device side and SHA-256-hashes each chunk over the still-resident
+// kernel per buffer: the cutter also drains max-size cuts up to the
+// buffer's end, and each chunk is SHA-256-hashed over the still-resident
 // twin, so batches come back with chunk+digest pairs and the host never
 // rehashes. The hash kernel of buffer i overlaps the H2D of buffer i+1 on
 // the other twin (docs/fingerprint.md has the timeline).
 //
-// Pinned-ring slots are *leased*: submit() blocks while every slot is in
+// Pinned-ring slots are *leased*: lease_slot() blocks while every slot is in
 // flight, which is the engine-level backpressure the service relies on when
 // clients outrun the device. A slot stays leased until the LAST SlotLease
 // referencing it drops (core/lease.h) — every BoundaryBatch carries its
@@ -45,6 +48,7 @@
 #include <exception>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -84,21 +88,14 @@ struct StageSeconds {
 };
 
 // A unit of pipeline work tagged with the client stream that produced it.
-// The staged bytes are carry_prefix ++ data: producers that already hold
-// carry and payload contiguously put everything in `data` and set `carry`;
-// producers with a separate window-context tail (the service scheduler)
-// pass it via `carry_prefix` and the engine splices the two directly into
-// the staging slot — no concatenation copy on the hot path. Producers that
-// fill a leased slot in place (submit_slot) leave both empty.
+// The engine stamps the stream fields from the producer's StreamCursor.
 struct StreamBuffer {
   std::uint32_t stream_id = 0;
   std::uint64_t seq = 0;          // per-stream buffer sequence number
-  std::size_t carry = 0;          // leading window-context bytes in `data`
-  ByteVec carry_prefix;           // window-context bytes staged before `data`
+  std::size_t carry = 0;          // leading window-context bytes staged
   std::uint64_t base_offset = 0;  // absolute offset of the first staged byte
-  ByteVec data;                   // (carry +) payload
   double reader_seconds = 0;      // modelled producer time for the payload
-  bool eos = false;               // end-of-stream marker; data must be empty
+  bool eos = false;               // end-of-stream marker; stages no bytes
   // Scheduler context stamped by the producer (the service's dispatch path)
   // and echoed back on the BoundaryBatch, so the store thread can emit
   // credit/queue-depth trace points at the batch's virtual completion time.
@@ -106,22 +103,31 @@ struct StreamBuffer {
   std::uint32_t queue_depth = 0;
 };
 
+// One stream's producer-side position: next sequence number, payload bytes
+// staged so far, and the carry — the last w-1 staged bytes, re-staged ahead
+// of the next buffer so Rabin windows spanning seams are never lost. The
+// engine's staging calls keep it; one per stream, used from one thread.
+struct StreamCursor {
+  std::uint32_t stream_id = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t offset = 0;
+  ByteVec carry;
+};
+
 // Raw content boundaries of one buffer, tagged like the StreamBuffer that
-// produced them. eos batches carry no boundaries and mark that every
-// preceding buffer of that stream has been delivered.
-//
-// When the engine fingerprints, chunk_ends/digests carry the stream's
-// *final* chunking (min/max applied on the device side) resolved as far as
-// this buffer allows, with one device-computed SHA-256 per chunk; the eos
-// batch then carries the stream's trailing chunk. Consumers use them
-// directly instead of running their own min/max filter.
+// produced them, plus the stream's final chunk ends (min/max applied)
+// resolved as far as this buffer allows. The eos batch carries no
+// boundaries, the stream's trailing chunk ends, and marks that every
+// preceding buffer of that stream has been delivered. When the engine
+// fingerprints, each end comes with a device SHA-256 and max-size cuts are
+// drained up to the buffer's end, so the eos batch holds at most one end.
 struct BoundaryBatch {
   std::uint32_t stream_id = 0;
   std::uint64_t seq = 0;
   bool eos = false;
   std::vector<std::uint64_t> boundaries;
-  std::vector<std::uint64_t> chunk_ends;      // fingerprint mode only
-  std::vector<dedup::ChunkDigest> digests;    // 1:1 with chunk_ends
+  std::vector<std::uint64_t> chunk_ends;      // final chunk ends
+  std::vector<dedup::ChunkDigest> digests;    // fingerprint mode, 1:1 ends
   StageSeconds stages;
   gpu::KernelRunStats kernel_stats;
   gpu::KernelRunStats fingerprint_stats;
@@ -149,26 +155,29 @@ double store_stage_seconds(const gpu::DeviceSpec& spec,
                            std::size_t n_boundaries, bool pinned,
                            std::size_t digest_bytes = 0) noexcept;
 
-// Walks a fingerprint-mode batch's (chunk_ends, digests) pairs: rebuilds
-// each chunk from the stream's previous end offset, advances it, and hands
-// (chunk, digest) to `fn` — the one place the pairing/reassembly rule
-// lives, shared by every consumer (Shredder's store loop, the service's
-// per-tenant store path).
+// Walks a batch's chunk ends: rebuilds each chunk from the stream's previous
+// end offset, advances it, and hands (chunk, digest or null unless the
+// engine fingerprints) to `fn` — the one place the reassembly rule lives,
+// shared by Shredder's store loop and the service's per-tenant store path.
 template <typename Fn>
-void for_each_fingerprinted_chunk(const BoundaryBatch& batch,
-                                  std::uint64_t& last_end, Fn&& fn) {
+void for_each_chunk(const BoundaryBatch& batch, std::uint64_t& last_end,
+                    Fn&& fn) {
+  const bool paired = !batch.digests.empty();
   for (std::size_t i = 0; i < batch.chunk_ends.size(); ++i) {
     const chunking::Chunk c{last_end, batch.chunk_ends[i] - last_end};
     last_end = batch.chunk_ends[i];
-    fn(c, batch.digests[i]);
+    fn(c, paired ? &batch.digests[i] : nullptr);
   }
 }
 
-// A staging slot leased to a producer that fills it in place: `bytes` is
-// kept alive by `lease`, so a slot dropped unsubmitted returns to the ring.
+// A staging slot leased to a producer: the stream's carry is already staged
+// at the slot's front and the producer writes its payload into `payload`,
+// right behind it. `lease` keeps the bytes alive, so a slot dropped
+// unsubmitted returns to the ring.
 struct WritableSlot {
   SlotLease lease;
-  MutableByteSpan bytes;
+  MutableByteSpan payload;
+  std::size_t carry = 0;  // carry bytes staged ahead of `payload`
 };
 
 struct PipelineEngineConfig {
@@ -178,8 +187,7 @@ struct PipelineEngineConfig {
   KernelParams kernel;         // coalesced flag is derived from `mode`
   // Adds the on-device fingerprint stage: after the chunking kernel, a
   // SHA-256 kernel hashes every resolved chunk over the still-resident
-  // buffer and the digests ride back with the batch. Requires producers to
-  // submit an eos StreamBuffer per stream (the trailing chunk closes there).
+  // buffer and the digests ride back with the batch.
   bool fingerprint = false;
   // Optional metrics registry (borrowed; must outlive the engine). The
   // engine publishes pipeline.buffers_total / pipeline.bytes_total, the
@@ -189,6 +197,29 @@ struct PipelineEngineConfig {
 
   void validate() const;
 };
+
+// The engine configuration of a frontend (Shredder, ChunkingService), built
+// in this one place from the settings both configs name alike: a slot holds
+// one buffer plus the w-1 carry bytes. Throws std::invalid_argument on
+// settings that cannot make an engine; frontends validate through it.
+template <typename FrontendConfig>
+PipelineEngineConfig frontend_engine_config(const FrontendConfig& c,
+                                            obs::Registry* registry) {
+  c.chunker.validate();
+  // A buffer must hold more than the w-1 carried context bytes.
+  if (c.buffer_bytes < c.chunker.window * 2) {
+    throw std::invalid_argument("buffer_bytes must be >= 2 * window");
+  }
+  PipelineEngineConfig e;
+  e.mode = c.mode;
+  e.slot_bytes = c.buffer_bytes + c.chunker.window - 1;
+  e.ring_slots = c.ring_slots;
+  e.kernel = c.kernel;
+  e.fingerprint = c.fingerprint_on_device;
+  e.registry = registry;
+  e.validate();
+  return e;
+}
 
 class PipelineEngine {
  public:
@@ -202,19 +233,21 @@ class PipelineEngine {
   PipelineEngine(const PipelineEngine&) = delete;
   PipelineEngine& operator=(const PipelineEngine&) = delete;
 
-  // Moves `buf` into the pipeline: leases a pinned slot (blocking while all
-  // slots are in flight — this is the backpressure point), stages the bytes
-  // and hands them to the transfer thread. Returns false if the engine was
-  // shut down. Buffers of one stream must be submitted in stream order.
-  bool submit(StreamBuffer buf);
-
-  // In-place staging: lease_slot() blocks like submit() for a free pinned
-  // slot (basic mode: a fresh pageable vector); nullopt once the engine is
-  // stopping. The producer writes carry ++ payload into slot.bytes, then
-  // submit_slot() queues its first `len` bytes under `meta` (meta.carry =
-  // leading context bytes; data, carry_prefix empty); false once shut down.
-  std::optional<WritableSlot> lease_slot();
-  bool submit_slot(WritableSlot slot, std::size_t len, StreamBuffer meta);
+  // Leases a staging slot with the cursor's carry staged at its front,
+  // blocking while every pinned slot is in flight — the engine-level
+  // backpressure point (basic mode: a fresh pageable vector). nullopt once
+  // the engine is stopping.
+  std::optional<WritableSlot> lease_slot(const StreamCursor& cursor);
+  // Queues the carry plus the first `payload_len` (> 0) bytes of
+  // slot.payload as the stream's next buffer, stamping meta's stream fields
+  // from `cursor` and advancing it (the next carry is the last w-1 staged
+  // bytes). Buffers of one stream must be submitted in stream order.
+  // Returns false once the engine was shut down.
+  bool submit_slot(StreamCursor& cursor, WritableSlot slot,
+                   std::size_t payload_len, StreamBuffer meta);
+  // Queues the stream's end-of-stream marker; its batch carries the
+  // trailing chunk ends. Returns false once the engine was shut down.
+  bool submit_eos(StreamCursor& cursor);
 
   // Signals end of all submissions; next_batch() drains and then returns
   // nullopt.
@@ -225,7 +258,7 @@ class PipelineEngine {
   std::optional<BoundaryBatch> next_batch();
 
   // Hard-stops the pipeline: wakes any producer blocked on a slot lease
-  // (their submit returns false), closes every queue and joins the stage
+  // (their lease_slot returns nullopt), closes every queue and joins the stage
   // threads. Idempotent; also runs from the destructor.
   void stop();
 
@@ -248,15 +281,15 @@ class PipelineEngine {
     double transfer_seconds = 0;
   };
 
-  // Per-stream device-resident fingerprint state (kernel thread only):
-  // the min/max cutter resolving final chunk ends and the running SHA-256
-  // of the open chunk. Defined in pipeline.cc.
-  struct FingerprintSession;
+  // Per-stream device-resident cut state (kernel thread only): the min/max
+  // cutter resolving final chunk ends and, when fingerprinting, the running
+  // SHA-256 of the open chunk. Defined in pipeline.cc.
+  struct StreamCutter;
 
-  FingerprintSession& fp_session(std::uint32_t stream_id);
-  void fingerprint_batch(StagedItem& item, BoundaryBatch& batch);
-  void finish_fingerprint(std::uint32_t stream_id, std::uint64_t total,
-                          BoundaryBatch& batch);
+  StreamCutter& cutter(std::uint32_t stream_id);
+  void cut_batch(StagedItem& item, BoundaryBatch& batch);
+  void finish_stream(std::uint32_t stream_id, std::uint64_t total,
+                     BoundaryBatch& batch);
 
   bool acquire_twin();
   void release_twin();
@@ -269,7 +302,7 @@ class PipelineEngine {
   const rabin::RabinTables& tables_;
   const chunking::ChunkerConfig& chunker_;
   // Metric handles resolved once at construction (null when no registry):
-  // submit() and the kernel thread touch them lock-free on the hot path.
+  // the kernel thread touch them lock-free on the hot path.
   obs::Counter* m_buffers_ = nullptr;
   obs::Counter* m_bytes_ = nullptr;
   obs::Timing* m_reader_s_ = nullptr;
@@ -295,9 +328,8 @@ class PipelineEngine {
   BoundedQueue<StagedItem> to_kernel_;
   BoundedQueue<BoundaryBatch> to_store_;
 
-  // Kernel-thread-only: one fingerprint session per live stream.
-  std::unordered_map<std::uint32_t, std::unique_ptr<FingerprintSession>>
-      fp_sessions_;
+  // Kernel-thread-only: one cutter per live stream.
+  std::unordered_map<std::uint32_t, std::unique_ptr<StreamCutter>> cutters_;
 
   Mutex error_mutex_;
   std::exception_ptr error_ GUARDED_BY(error_mutex_);

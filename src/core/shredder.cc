@@ -1,10 +1,8 @@
 #include "core/shredder.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <thread>
 
-#include "chunking/minmax.h"
 #include "chunking/parallel.h"
 #include "common/check.h"
 #include "common/timer.h"
@@ -15,16 +13,7 @@
 namespace shredder::core {
 
 void ShredderConfig::validate() const {
-  chunker.validate();
-  if (buffer_bytes < chunker.window * 2) {
-    throw std::invalid_argument("ShredderConfig: buffer_bytes too small");
-  }
-  if (ring_slots == 0) {
-    throw std::invalid_argument("ShredderConfig: ring_slots must be >= 1");
-  }
-  if (kernel.blocks <= 0 || kernel.threads_per_block <= 0) {
-    throw std::invalid_argument("ShredderConfig: bad kernel geometry");
-  }
+  frontend_engine_config(*this, registry);
 }
 
 Shredder::Shredder(ShredderConfig config)
@@ -37,40 +26,22 @@ Shredder::Shredder(ShredderConfig config)
 namespace {
 
 // The Reader stage (paper §5.2.1): reads `source` in pieces of up to
-// `buffer_bytes` straight into leased staging slots, each behind the
-// previous piece's last `carry_bytes` so chunk windows spanning seams are
-// never lost, then submits the stream's eos. Returns early if the engine
-// stops.
+// `buffer_bytes` straight into leased staging slots (the engine stages the
+// carry ahead of each), then submits the stream's eos. Returns early if the
+// engine stops.
 void stage_stream(DataSource& source, PipelineEngine& engine,
-                  std::size_t buffer_bytes, std::size_t carry_bytes) {
-  ByteVec carry;
-  std::uint64_t offset = 0;  // stream bytes read so far
-  std::uint64_t seq = 0;
-  for (;; ++seq) {
-    auto slot = engine.lease_slot();
+                  std::size_t buffer_bytes) {
+  StreamCursor cursor;
+  for (;;) {
+    auto slot = engine.lease_slot(cursor);
     if (!slot.has_value()) return;
-    std::copy(carry.begin(), carry.end(), slot->bytes.begin());
-    const std::size_t got =
-        source.read(slot->bytes.subspan(carry.size(), buffer_bytes));
+    const std::size_t got = source.read(slot->payload.first(buffer_bytes));
     if (got == 0) break;
-    StreamBuffer sb;
-    sb.seq = seq;
-    sb.carry = carry.size();
-    sb.base_offset = offset - carry.size();
-    sb.reader_seconds = source.read_seconds(got);
-    const std::size_t len = carry.size() + got;
-    const ByteSpan tail =
-        slot->bytes.first(len).last(std::min(carry_bytes, len));
-    carry.assign(tail.begin(), tail.end());
-    offset += got;
-    if (!engine.submit_slot(std::move(*slot), len, std::move(sb))) return;
+    StreamBuffer meta;
+    meta.reader_seconds = source.read_seconds(got);
+    if (!engine.submit_slot(cursor, std::move(*slot), got, meta)) return;
   }
-  // eos: base_offset carries the stream's total byte count.
-  StreamBuffer eos;
-  eos.seq = seq;
-  eos.eos = true;
-  eos.base_offset = offset;
-  engine.submit(std::move(eos));
+  engine.submit_eos(cursor);
 }
 
 }  // namespace
@@ -80,7 +51,6 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
   MutexLock run_lock(run_mutex_);
   const Stopwatch wall;
   ShredderResult result;
-  const std::size_t carry_bytes = config_.chunker.window - 1;
   const bool pipelined = config_.mode != GpuMode::kBasic;
   const bool fingerprint = config_.fingerprint_on_device;
   // Streaming sources only retain payload leases when the sink asks; an
@@ -89,15 +59,9 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
       whole.empty() && sink != nullptr && sink->wants_payload();
 
   if (engine_ == nullptr) {
-    PipelineEngineConfig engine_cfg;
-    engine_cfg.mode = config_.mode;
-    engine_cfg.slot_bytes = config_.buffer_bytes + carry_bytes;
-    engine_cfg.ring_slots = config_.ring_slots;
-    engine_cfg.kernel = config_.kernel;
-    engine_cfg.fingerprint = fingerprint;
-    engine_cfg.registry = config_.registry;
-    engine_ = std::make_unique<PipelineEngine>(engine_cfg, *device_, tables_,
-                                               config_.chunker);
+    engine_ = std::make_unique<PipelineEngine>(
+        frontend_engine_config(config_, config_.registry), *device_, tables_,
+        config_.chunker);
   }
   PipelineEngine& engine = *engine_;
   result.init_seconds = engine.init_seconds();
@@ -106,23 +70,11 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
           ? &config_.registry->timing("core.store_seconds")
           : nullptr;
 
-  // Store-side state: min/max filter resolving final chunks. In fingerprint
-  // mode the chunk ends arrive already resolved (the engine runs the min/max
-  // cut on the device side), paired with their digests.
+  // Store-side state: the chunks the engine's cutter resolved so far (with
+  // their digests in fingerprint mode) and the open chunk's start.
   std::uint64_t last_end = 0;
   std::vector<chunking::Chunk> chunks;
   std::vector<dedup::ChunkDigest> digests;
-  // Only the non-fingerprint path resolves chunks host-side; in fingerprint
-  // mode the engine is the sole chunk-emission mechanism, so don't even
-  // construct the filter.
-  std::optional<chunking::MinMaxFilter> filter;
-  if (!fingerprint) {
-    filter.emplace(config_.chunker.min_size, config_.chunker.max_size,
-                   [&](std::uint64_t end) {
-                     chunks.push_back({last_end, end - last_end});
-                     last_end = end;
-                   });
-  }
 
   // Batch delivery to the sink: one ChunkBatchView per buffer that finalized
   // chunks (spans over the tails of `chunks`/`digests`), plus one eos batch.
@@ -166,7 +118,7 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
   std::exception_ptr feed_error;
   std::thread feeder([&] {
     try {
-      stage_stream(source, engine, config_.buffer_bytes, carry_bytes);
+      stage_stream(source, engine, config_.buffer_bytes);
     } catch (...) {
       feed_error = std::current_exception();
       engine.close();  // drains what was staged, then ends the store loop
@@ -178,31 +130,29 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
   // feeder thread can be unblocked and joined before the exception propagates.
   std::exception_ptr store_error;
   bool eos_seen = false;
-  // Emits the batch's finalized chunks with their device digests.
-  const auto emit_fingerprinted = [&](const BoundaryBatch& batch) {
-    for_each_fingerprinted_chunk(
-        batch, last_end, [&](const chunking::Chunk& c,
-                             const dedup::ChunkDigest& d) {
-          chunks.push_back(c);
-          digests.push_back(d);
-        });
+  // Collects the batch's finalized chunks (and device digests).
+  const auto collect = [&](const BoundaryBatch& batch) {
+    for_each_chunk(batch, last_end, [&](const chunking::Chunk& c,
+                                        const dedup::ChunkDigest* d) {
+      chunks.push_back(c);
+      if (d != nullptr) digests.push_back(*d);
+    });
   };
   try {
   while (auto batch = engine.next_batch()) {
     total_bytes = batch->payload_end;
     const std::size_t batch_first = chunks.size();
     if (batch->eos) {
-      // The stream's trailing chunk closes here: in the host filter, or on
-      // the device in fingerprint mode, whose digest still crosses the bus,
-      // so account the D2H even though the eos batch carries no boundaries.
-      if (!fingerprint) filter->finish(total_bytes);
+      // The stream's trailing chunks close here. In fingerprint mode the
+      // trailing digest still crosses the bus, so account the D2H even
+      // though the eos batch carries no boundaries.
       if (!batch->digests.empty()) {
         batch->stages.store = store_stage_seconds(
             config_.device, 0, pipelined,
             batch->digests.size() * sizeof(dedup::ChunkDigest));
         stage_log.push_back(batch->stages);
       }
-      emit_fingerprinted(*batch);
+      collect(*batch);
       deliver(batch_first, /*eos=*/true);
       eos_seen = true;
       break;
@@ -212,17 +162,13 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
       // the pinned slot (or basic-mode vector) alive for payload views.
       tail.append(std::move(batch->payload), batch->payload_carry);
     }
-    // Copy boundaries (and digests) back device -> host, then resolve
-    // chunks: min/max filter here, or the engine's pre-cut chunk ends.
+    // Copy boundaries (and digests) back device -> host, then collect the
+    // engine's pre-cut chunk ends.
     batch->stages.store = store_stage_seconds(
         config_.device, batch->boundaries.size(), pipelined,
         batch->digests.size() * sizeof(dedup::ChunkDigest));
     if (m_store_s != nullptr) m_store_s->observe(batch->stages.store);
-    if (fingerprint) {
-      emit_fingerprinted(*batch);
-    } else {
-      for (std::uint64_t b : batch->boundaries) filter->push(b);
-    }
+    collect(*batch);
     deliver(batch_first, /*eos=*/false);
     if (rolling) tail.trim(last_end);
     result.raw_boundaries += batch->boundaries.size();
@@ -230,9 +176,7 @@ ShredderResult Shredder::run_impl(DataSource& source, ChunkSink* sink,
     stage_log.push_back(batch->stages);
     // Aggregate kernel statistics across buffers.
     result.kernel_totals += batch->kernel_stats;
-    if (fingerprint) {
-      result.fingerprint_totals += batch->fingerprint_stats;
-    }
+    result.fingerprint_totals += batch->fingerprint_stats;
   }
   } catch (...) {
     store_error = std::current_exception();
@@ -297,17 +241,13 @@ ShredderResult Shredder::run(ByteSpan data, ChunkSink& sink) {
   return run_impl(source, &sink, data);
 }
 
-ShredderResult Shredder::run(DataSource& source, const ChunkCallback& on_chunk,
-                             const DigestCallback& on_digest) {
-  PerChunkAdapter adapter(on_chunk, on_digest);
-  return run_impl(source, adapter.empty() ? nullptr : &adapter, {});
+ShredderResult Shredder::run(DataSource& source) {
+  return run_impl(source, nullptr, {});
 }
 
-ShredderResult Shredder::run(ByteSpan data, const ChunkCallback& on_chunk,
-                             const DigestCallback& on_digest) {
+ShredderResult Shredder::run(ByteSpan data) {
   MemorySource source(data, config_.host.reader_bw);
-  PerChunkAdapter adapter(on_chunk, on_digest);
-  return run_impl(source, adapter.empty() ? nullptr : &adapter, data);
+  return run_impl(source, nullptr, data);
 }
 
 HostChunkResult chunk_on_host(ByteSpan data,

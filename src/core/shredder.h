@@ -4,9 +4,9 @@
 // The workflow matches Figure 2/8 of the paper: a Reader thread pulls the
 // input stream into host buffers, a Transfer thread DMAs them into device
 // memory (double-buffered twins), the chunking kernel finds raw content
-// boundaries in parallel on the (simulated) GPU, and a Store thread copies
-// boundaries back, applies min/max sizes and upcalls the application with
-// finished chunks.
+// boundaries in parallel on the (simulated) GPU, the engine's per-stream
+// cutter applies min/max sizes, and a Store thread copies the chunk ends
+// back and hands the application one batch of finished chunks per buffer.
 //
 // Three operating modes expose the paper's optimization ladder (Fig 12):
 //   kBasic            serialized stages, pageable host memory, direct
@@ -27,9 +27,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "chunking/chunk.h"
@@ -101,11 +99,6 @@ struct ShredderResult {
 
 class Shredder {
  public:
-  // Legacy per-chunk upcall types (now shims over the batch path; see
-  // core/sink.h). on_digest only fires when fingerprint_on_device is set.
-  using ChunkCallback = ::shredder::ChunkCallback;
-  using DigestCallback = ::shredder::DigestCallback;
-
   // Throws std::invalid_argument on bad configuration.
   explicit Shredder(ShredderConfig config);
 
@@ -117,16 +110,12 @@ class Shredder {
   ShredderResult run(DataSource& source, ChunkSink& sink);
   ShredderResult run(ByteSpan data, ChunkSink& sink);
 
-  // Chunks the whole stream from `source`, invoking `on_chunk` (if set) as
-  // chunks become final. Returns the full result. Kept as a PerChunkAdapter
-  // shim over the batch path; output is bit-identical to the sink overloads.
-  ShredderResult run(DataSource& source, const ChunkCallback& on_chunk = {},
-                     const DigestCallback& on_digest = {});
+  // Chunks the whole stream from `source` and returns the full result only.
+  ShredderResult run(DataSource& source);
 
   // Convenience: chunk an in-memory buffer served at the host reader
   // bandwidth (the SAN model).
-  ShredderResult run(ByteSpan data, const ChunkCallback& on_chunk = {},
-                     const DigestCallback& on_digest = {});
+  ShredderResult run(ByteSpan data);
 
   const ShredderConfig& config() const noexcept { return config_; }
   const rabin::RabinTables& tables() const noexcept { return tables_; }

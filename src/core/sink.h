@@ -1,23 +1,16 @@
-// Batch-first consumer API: the library's preferred way to receive chunks.
+// Batch-first consumer API: the one way chunks leave every frontend.
 //
-// Every producer surface used to upcall its consumer once per chunk through a
-// std::function — N virtual dispatches per drained buffer, and (on the backup
-// path) N wire messages where one would do. ChunkSink inverts that: the store
-// stage hands the consumer ONE ChunkBatchView per drained pipeline buffer,
-// carrying spans over everything the buffer finalized — chunks, their device
-// digests when the fingerprint stage ran, and (when the producer retains
-// payload bytes) a window of the stream the chunks can be sliced from.
-//
-// The per-chunk std::function surfaces (Shredder::run callbacks,
-// service::TenantOptions::on_chunk/on_digest) are kept as thin shims: they
-// wrap the callbacks in a PerChunkAdapter and ride the batch path, so legacy
-// consumers see bit-identical chunk/digest streams (tests/sink_test.cc holds
-// exactly that) while batch consumers pay no per-chunk dispatch at all.
+// The store stage hands the consumer ONE ChunkBatchView per drained
+// pipeline buffer, carrying spans over everything the buffer finalized —
+// chunks, their device digests when the fingerprint stage ran, and (when
+// the producer retains payload bytes) a window of the stream the chunks can
+// be sliced from. core::Shredder::run, service::TenantOptions::sink and the
+// backup server's wire batches all deliver through ChunkSink; there is no
+// per-chunk upcall.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <span>
 
 #include "chunking/chunk.h"
@@ -28,13 +21,6 @@
 namespace shredder {
 
 class PayloadTail;
-
-// Per-chunk upcall types shared by every frontend (core::Shredder, the
-// multi-tenant service). Kept for compatibility; new consumers should
-// implement ChunkSink instead.
-using ChunkCallback = std::function<void(const chunking::Chunk&)>;
-using DigestCallback =
-    std::function<void(const chunking::Chunk&, const dedup::ChunkDigest&)>;
 
 // Everything one drained buffer finalized, delivered in stream order. All
 // spans point into producer-owned storage and are valid only for the
@@ -162,23 +148,6 @@ class PayloadTail {
   std::uint64_t end_ = 0;  // absolute end of the window (and the stream)
   std::size_t slot_cap_ = static_cast<std::size_t>(-1);
   mutable ByteVec scratch_;  // splice target for cross-segment slices
-};
-
-// Shim keeping the per-chunk callback surfaces alive: replays a batch as the
-// exact per-chunk upcall sequence the legacy API produced.
-class PerChunkAdapter final : public ChunkSink {
- public:
-  explicit PerChunkAdapter(ChunkCallback on_chunk,
-                           DigestCallback on_digest = {});
-
-  void on_batch(const ChunkBatchView& batch) override;
-
-  // True when both callbacks are unset (nothing to dispatch).
-  bool empty() const noexcept { return !on_chunk_ && !on_digest_; }
-
- private:
-  ChunkCallback on_chunk_;
-  DigestCallback on_digest_;
 };
 
 }  // namespace shredder

@@ -9,16 +9,7 @@
 namespace shredder::service {
 
 void ServiceConfig::validate() const {
-  chunker.validate();
-  if (buffer_bytes < chunker.window * 2) {
-    throw std::invalid_argument("ServiceConfig: buffer_bytes too small");
-  }
-  if (ring_slots == 0) {
-    throw std::invalid_argument("ServiceConfig: ring_slots must be >= 1");
-  }
-  if (kernel.blocks <= 0 || kernel.threads_per_block <= 0) {
-    throw std::invalid_argument("ServiceConfig: bad kernel geometry");
-  }
+  core::frontend_engine_config(*this, registry);
   if (max_tenants == 0) {
     throw std::invalid_argument("ServiceConfig: max_tenants must be >= 1");
   }
@@ -60,15 +51,9 @@ ChunkingService::ChunkingService(ServiceConfig config)
       &registry_->counter("service.transport_retransmits_total");
   m_transport_repairs_ =
       &registry_->counter("service.transport_repairs_total");
-  core::PipelineEngineConfig engine_cfg;
-  engine_cfg.mode = config_.mode;
-  engine_cfg.slot_bytes = config_.buffer_bytes + config_.chunker.window - 1;
-  engine_cfg.ring_slots = config_.ring_slots;
-  engine_cfg.kernel = config_.kernel;
-  engine_cfg.fingerprint = config_.fingerprint_on_device;
-  engine_cfg.registry = registry_;
-  engine_ = std::make_unique<core::PipelineEngine>(engine_cfg, *device_,
-                                                   tables_, config_.chunker);
+  engine_ = std::make_unique<core::PipelineEngine>(
+      core::frontend_engine_config(config_, registry_), *device_, tables_,
+      config_.chunker);
   if (config_.dedup_on_store) {
     // Service-owned stores run in deferred-reclaim mode so delete_image
     // parks zero-ref chunks for the GC epoch protocol instead of freeing
@@ -121,6 +106,7 @@ ChunkingService::StreamId ChunkingService::open(TenantOptions opts) {
   auto session = std::make_unique<Session>();
   const StreamId id = next_id_++;
   session->id = id;
+  session->cursor.stream_id = id;
   // A newcomer starts at the minimum credit among active sessions (virtual-
   // time normalization): starting at 0 would let it monopolize the device
   // until it caught up with long-running incumbents.
@@ -145,30 +131,14 @@ ChunkingService::StreamId ChunkingService::open(TenantOptions opts) {
     session->report.name = opts.name;
   }
   session->report.weight = opts.weight;
-  session->filter = std::make_unique<chunking::MinMaxFilter>(
-      config_.chunker.min_size, config_.chunker.max_size,
-      [s = session.get()](std::uint64_t end) {
-        s->chunks.push_back({s->last_end, end - s->last_end});
-        s->last_end = end;
-      });
   session->opts = std::move(opts);
-  // Batch-first consumption: the store thread talks to one sink per tenant.
-  // Per-chunk callbacks become a PerChunkAdapter shim over the batch path,
-  // so the hot loop never dispatches a per-chunk std::function.
-  if (session->opts.sink != nullptr) {
-    session->sink = session->opts.sink;
-  } else if (session->opts.on_chunk || session->opts.on_digest) {
-    session->adapter = std::make_unique<PerChunkAdapter>(
-        session->opts.on_chunk, session->opts.on_digest);
-    session->sink = session->adapter.get();
-  }
   // Every batch carries its staged bytes as a refcounted lease, so honoring
   // wants_payload() is per-session and free — including for tenants opened
   // mid-run. Cap 0: the store thread never parks pinned slots in a tenant
   // tail across batches (see Session::retain).
   session->retain =
       config_.dedup_on_store ||
-      (session->sink != nullptr && session->sink->wants_payload());
+      (session->opts.sink != nullptr && session->opts.sink->wants_payload());
   session->tail.set_slot_cap(0);
   // Dedup sessions pin the GC epoch for their whole walk (retention.h).
   if (retention_) session->pin = retention_->pin();
@@ -226,6 +196,9 @@ void ChunkingService::submit(StreamId id, ByteSpan data) {
     if (s.staging.size() == config_.buffer_bytes) {
       ByteVec payload;
       payload.swap(s.staging);
+      // The swap left staging empty-handed: size it for the next buffer
+      // now, or it regrows piece by piece, copying at every doubling.
+      s.staging.reserve(config_.buffer_bytes);
       enqueue_payload(s, std::move(payload));
     }
   }
@@ -329,49 +302,28 @@ ChunkingService::Session* ChunkingService::pick_locked(bool* send_eos) {
 }
 
 void ChunkingService::dispatch(Session& s, bool send_eos) {
-  core::StreamBuffer sb;
-  sb.stream_id = s.id;
-  sb.seq = s.seq++;
   if (send_eos) {
-    sb.eos = true;
-    sb.base_offset = s.dispatched_bytes;
-    engine_->submit(std::move(sb));
+    engine_->submit_eos(s.cursor);
     return;
   }
   auto pending = s.queue->try_pop();
   SHREDDER_CHECK_MSG(pending.has_value(),
                      "ChunkingService: scheduler raced an empty queue");
-  ByteVec& payload = pending->payload;
-  sb.base_offset = s.dispatched_bytes - s.carry.size();
-  sb.reader_seconds = pending->reader_seconds;
+  core::StreamBuffer meta;
+  meta.reader_seconds = pending->reader_seconds;
   // Scheduler context rides with the buffer so the store thread can stamp
   // credit/queue-depth trace points at the buffer's virtual time. Both are
   // scheduler-thread state: credit was charged in pick_locked, the queue
   // only shrinks from this thread.
-  sb.sched_credit = s.credit;
-  sb.queue_depth = static_cast<std::uint32_t>(s.queue->size());
+  meta.sched_credit = s.credit;
+  meta.queue_depth = static_cast<std::uint32_t>(s.queue->size());
   m_buffers_dispatched_->add(1);
-  // Next buffer's window context: the last w-1 staged bytes, computed
-  // before carry and payload are moved into the work item.
-  const std::size_t keep = std::min(config_.chunker.window - 1,
-                                    s.carry.size() + payload.size());
-  ByteVec next_carry;
-  if (payload.size() >= keep) {
-    next_carry.assign(payload.end() - static_cast<std::ptrdiff_t>(keep),
-                      payload.end());
-  } else {
-    const std::size_t from_carry = keep - payload.size();
-    next_carry.assign(s.carry.end() - static_cast<std::ptrdiff_t>(from_carry),
-                      s.carry.end());
-    next_carry.insert(next_carry.end(), payload.begin(), payload.end());
-  }
-  s.dispatched_bytes += payload.size();
-  // Carry travels as a separate prefix: the engine splices it directly into
-  // the pinned slot, so no payload-sized concatenation happens here.
-  sb.carry_prefix = std::move(s.carry);
-  sb.data = std::move(payload);
-  s.carry = std::move(next_carry);
-  engine_->submit(std::move(sb));
+  // The engine stages the carry; the payload is copied in right behind it.
+  auto slot = engine_->lease_slot(s.cursor);
+  if (!slot.has_value()) return;  // engine stopping
+  const ByteVec& payload = pending->payload;
+  std::copy(payload.begin(), payload.end(), slot->payload.begin());
+  engine_->submit_slot(s.cursor, std::move(*slot), payload.size(), meta);
 }
 
 void ChunkingService::scheduler_loop() {
@@ -391,8 +343,9 @@ void ChunkingService::scheduler_loop() {
         sched_cv_.wait(mu_);
       }
     }
-    // Dispatch outside the lock: engine_->submit may block on a pinned-slot
-    // lease, and the store thread needs mu_ to make progress meanwhile.
+    // Dispatch outside the lock: engine_->lease_slot may block on a
+    // pinned-slot lease, and the store thread needs mu_ to make progress
+    // meanwhile.
     dispatch(*pick, send_eos);
   }
 }
@@ -408,45 +361,6 @@ void ChunkingService::store_loop() {
                            "ChunkingService: batch for unknown session");
         s = it->second.get();
       }
-      // Fingerprint mode: chunk ends arrive resolved, paired with device
-      // digests — emit them directly instead of running the host filter.
-      // With dedup_on_store every chunk also takes the shared dedup decision
-      // (the tenant id keys the sparse backend's prefetch cache); stored
-      // payloads are sliced from the session's rolling tail into the shared
-      // store, duplicates add a reference to the stored copy.
-      const auto emit_fingerprinted = [&] {
-        const dedup::IndexStats index_before =
-            dedup_ ? dedup_->index().stats() : dedup::IndexStats{};
-        const dedup::DedupStats dedup_before =
-            dedup_ ? dedup_->stats() : dedup::DedupStats{};
-        core::for_each_fingerprinted_chunk(
-            *batch, s->last_end,
-            [&](const chunking::Chunk& c, const dedup::ChunkDigest& d) {
-              s->chunks.push_back(c);
-              s->digests.push_back(d);
-              if (!dedup_) return;
-              dedup_->ingest_chunk(d, c.size, s->id, [&] {
-                SHREDDER_CHECK_MSG(
-                    c.offset >= s->tail.base() && c.end() <= s->tail.end(),
-                    "ChunkingService: chunk outside the rolling tail");
-                // Usually a direct alias of the leased slot; spliced only
-                // for chunks spanning buffers. The store's put() is then
-                // the stored byte's single copy: leased slot -> store.
-                return s->tail.slice(c.offset,
-                                     static_cast<std::size_t>(c.size));
-              });
-            });
-        if (!dedup_) return;
-        const dedup::DedupStats walk = dedup_->stats() - dedup_before;
-        s->report.n_duplicate_chunks += walk.chunks_duplicate;
-        s->report.n_healed_chunks += walk.chunks_healed;
-        s->report.duplicate_bytes += walk.bytes_duplicate;
-        s->report.stored_bytes += walk.bytes_stored;
-        const dedup::IndexStats index_after = dedup_->index().stats();
-        s->report.index_seconds +=
-            index_after.virtual_seconds - index_before.virtual_seconds;
-        retention::publish_index_delta(*registry_, index_before, index_after);
-      };
       const std::size_t batch_first = s->chunks.size();
       // Extend the rolling tail before emitting: chunk payload slices and
       // sink views read from it. The lease moves in — zero-copy — and
@@ -473,7 +387,7 @@ void ChunkingService::store_loop() {
                            {"seq", std::to_string(batch->seq)}});
           }
         }
-        emit_fingerprinted();  // the stream's trailing chunk closes here
+        collect_batch(*s, *batch);  // the stream's trailing chunks close here
         if (tracer_ != nullptr) {
           tracer_->instant("tenant/" + s->report.name, "eos",
                            s->last_finish_v);
@@ -485,11 +399,7 @@ void ChunkingService::store_loop() {
           config_.device, batch->boundaries.size(), engine_->pipelined(),
           batch->digests.size() * sizeof(dedup::ChunkDigest));
       const double index_seconds_before = s->report.index_seconds;
-      if (config_.fingerprint_on_device) {
-        emit_fingerprinted();
-      } else {
-        for (std::uint64_t b : batch->boundaries) s->filter->push(b);
-      }
+      collect_batch(*s, *batch);
       deliver_batch(*s, batch_first, /*eos=*/false);
 
       // Virtual-time composition: the tenant's twin timeline streams model
@@ -590,13 +500,54 @@ void ChunkingService::trace_batch(const Session& s,
                    static_cast<double>(batch.queue_depth));
 }
 
+// Collects the batch's chunk ends (and device digests) into the session.
+// With dedup_on_store every chunk also takes the shared dedup decision (the
+// tenant id keys the sparse backend's prefetch cache); stored payloads are
+// sliced from the session's rolling tail into the shared store, duplicates
+// add a reference to the stored copy.
+void ChunkingService::collect_batch(Session& s,
+                                    const core::BoundaryBatch& batch) {
+  const dedup::IndexStats index_before =
+      dedup_ ? dedup_->index().stats() : dedup::IndexStats{};
+  const dedup::DedupStats dedup_before =
+      dedup_ ? dedup_->stats() : dedup::DedupStats{};
+  core::for_each_chunk(
+      batch, s.last_end,
+      [&](const chunking::Chunk& c, const dedup::ChunkDigest* d) {
+        s.chunks.push_back(c);
+        if (d == nullptr) return;
+        s.digests.push_back(*d);
+        if (!dedup_) return;
+        dedup_->ingest_chunk(*d, c.size, s.id, [&] {
+          SHREDDER_CHECK_MSG(
+              c.offset >= s.tail.base() && c.end() <= s.tail.end(),
+              "ChunkingService: chunk outside the rolling tail");
+          // Usually a direct alias of the leased slot; spliced only for
+          // chunks spanning buffers. The store's put() is then the stored
+          // byte's single copy: leased slot -> store.
+          return s.tail.slice(c.offset, static_cast<std::size_t>(c.size));
+        });
+      });
+  if (!dedup_) return;
+  const dedup::DedupStats walk = dedup_->stats() - dedup_before;
+  s.report.n_duplicate_chunks += walk.chunks_duplicate;
+  s.report.n_healed_chunks += walk.chunks_healed;
+  s.report.duplicate_bytes += walk.bytes_duplicate;
+  s.report.stored_bytes += walk.bytes_stored;
+  const dedup::IndexStats index_after = dedup_->index().stats();
+  s.report.index_seconds +=
+      index_after.virtual_seconds - index_before.virtual_seconds;
+  retention::publish_index_delta(*registry_, index_before, index_after);
+}
+
 // One ChunkBatchView to the session's sink: the chunks appended since
 // `first`, their digests, and — when the service retains payloads — a view
 // of the rolling tail. Skips chunkless non-eos batches; the eos batch is
 // always delivered so sinks have a flush point. Afterwards the tail is
 // trimmed to the open chunk's start, keeping the window bounded.
 void ChunkingService::deliver_batch(Session& s, std::size_t first, bool eos) {
-  if (s.sink != nullptr && (eos || s.chunks.size() > first)) {
+  ChunkSink* const sink = s.opts.sink;
+  if (sink != nullptr && (eos || s.chunks.size() > first)) {
     ChunkBatchView view;
     view.stream_id = s.id;
     view.stream_seq = s.batch_seq++;
@@ -611,20 +562,16 @@ void ChunkingService::deliver_batch(Session& s, std::size_t first, bool eos) {
       view.payload_base = s.tail.window_base();
       view.tail = &s.tail;
     }
-    s.sink->on_batch(view);
+    sink->on_batch(view);
   }
   s.tail.trim(s.last_end);
 }
 
 void ChunkingService::finalize_session(Session& s, std::uint64_t total_bytes,
                                        std::size_t batch_first) {
-  if (config_.fingerprint_on_device) {
-    // The engine's device-side cutter already closed the trailing chunk.
-    SHREDDER_CHECK_MSG(s.last_end == total_bytes,
-                       "fingerprint session ended short of the stream total");
-  } else {
-    s.filter->finish(total_bytes);
-  }
+  // The engine's cutter closed the trailing chunk in the eos batch.
+  SHREDDER_CHECK_MSG(s.last_end == total_bytes,
+                     "session ended short of the stream total");
   deliver_batch(s, batch_first, /*eos=*/true);
   auto& r = s.report;
   r.total_bytes = total_bytes;

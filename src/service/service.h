@@ -10,18 +10,20 @@
 // Architecture (docs/service.md has the full design):
 //
 //   client threads ──submit()──► per-tenant BoundedQueue  (backpressure #1)
-//        scheduler thread: weighted-fair pick ──► engine.submit()
+//        scheduler thread: weighted-fair pick ──► engine.lease_slot(),
+//            copy the buffer in behind the carry ──► engine.submit_slot()
 //                                  (pinned-slot lease = backpressure #2)
-//        engine: transfer thread ─► kernel thread  (tagged BoundaryBatches)
-//        store thread: per-tenant min/max splice, chunk upcalls, stats
+//        engine: transfer thread ─► kernel thread (tagged BoundaryBatches,
+//                                   per-stream min/max cut)
+//        store thread: per-tenant chunk collection, sink batches, stats
 //
-// Per-tenant session state (Rabin carry across buffers, min/max filter,
-// sequence numbers) keeps every stream's output bit-identical to a dedicated
-// core::Shredder::run over the same bytes — the service equivalence suite in
-// tests/service_test.cc asserts exactly that. With fingerprint_on_device the
-// engine also SHA-256-hashes every chunk on the device and tenants receive
-// chunk+digest pairs (tests/fingerprint_test.cc holds the digests
-// bit-identical to host dedup::Sha256).
+// Per-tenant session state (the stream's engine cursor — Rabin carry,
+// offset, sequence numbers) keeps every stream's output bit-identical to a
+// dedicated core::Shredder::run over the same bytes — the service
+// equivalence suite in tests/service_test.cc asserts exactly that. With
+// fingerprint_on_device the engine also SHA-256-hashes every chunk on the
+// device and tenants receive chunk+digest pairs (tests/fingerprint_test.cc
+// holds the digests bit-identical to host dedup::Sha256).
 //
 // Virtual-time model: every tenant gets a twin pair of GpuTimeline streams
 // (double buffering); H2D/compute/D2H ops of all tenants compete for the
@@ -34,7 +36,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -43,7 +44,6 @@
 #include <vector>
 
 #include "chunking/chunk.h"
-#include "chunking/minmax.h"
 #include "common/annotations.h"
 #include "common/bytes.h"
 #include "common/mutex.h"
@@ -76,7 +76,7 @@ struct ServiceConfig {
   std::size_t tenant_queue_depth = 4;  // per-tenant buffers awaiting dispatch
   // Run the engine's on-device fingerprint stage for every tenant: chunks
   // arrive with device-computed SHA-256 digests (bit-identical to host
-  // dedup::Sha256), delivered via TenantOptions::on_digest and
+  // dedup::Sha256), delivered via the tenant sink's batches and
   // TenantResult::digests.
   bool fingerprint_on_device = false;
   // Deduplicate every tenant's chunks inline on the store thread against one
@@ -167,10 +167,6 @@ struct ServiceHealth {
   bool healthy() const noexcept { return degraded_agents == 0; }
 };
 
-// Legacy per-chunk upcall types, shared with core (see core/sink.h).
-using ChunkCallback = ::shredder::ChunkCallback;
-using DigestCallback = ::shredder::DigestCallback;
-
 struct TenantOptions {
   std::string name;          // label for reports; defaults to "tenant-<id>"
   std::uint32_t weight = 1;  // weighted-fair share of device dispatches
@@ -181,12 +177,8 @@ struct TenantOptions {
   // whenever the sink wants_payload() (per-session retention is a
   // refcounted slot lease, core/lease.h — no copy, so any tenant may ask,
   // including ones opened mid-run) or the service stores payloads
-  // (dedup_on_store). When a sink is set the per-chunk callbacks below are
-  // ignored.
+  // (dedup_on_store). Null: chunks reach only TenantResult.
   ChunkSink* sink = nullptr;
-  // Per-chunk shims (wrapped in a PerChunkAdapter over the batch path).
-  ChunkCallback on_chunk;    // invoked on the store thread, in stream order
-  DigestCallback on_digest;  // per-chunk digest upcall (fingerprint mode)
   // Snapshot identity for retention (dedup_on_store services only). When
   // set, the session's ordered digest list is recorded as a chunk manifest
   // under (name, image_id) once the stream completes, making the snapshot
@@ -370,27 +362,21 @@ class ChunkingService {
     bool finishing = false;  // guarded by mu_
 
     // Scheduler side.
-    ByteVec carry;  // last w-1 payload bytes, window context for next buffer
-    std::uint64_t dispatched_bytes = 0;
-    std::uint64_t seq = 0;
+    core::StreamCursor cursor;  // carry, offset and seq on the engine
     double credit = 0;  // dispatches weighted by 1/weight; min credit wins
     bool eos_sent = false;  // guarded by mu_
 
     // Store side.
-    std::unique_ptr<chunking::MinMaxFilter> filter;
     std::uint64_t last_end = 0;
     std::vector<chunking::Chunk> chunks;
     std::vector<dedup::ChunkDigest> digests;  // fingerprint mode, 1:1 chunks
-    // Batch delivery: the consumer sink (opts.sink, or the adapter wrapping
-    // the per-chunk callbacks), the delivered-batch ordinal, and — when the
-    // session retains payloads — the rolling lease window from which chunk
-    // payloads are sliced. `retain` is fixed at open(): dedup_on_store
+    // Batch delivery to opts.sink: the delivered-batch ordinal and — when
+    // the session retains payloads — the rolling lease window from which
+    // chunk payloads are sliced. `retain` is fixed at open(): dedup_on_store
     // services always retain (the store slices unique chunks), otherwise
     // only sessions whose sink wants_payload(). The tail runs with slot
     // cap 0 so no tenant parks pinned slots across batches — N sessions
     // each holding under-cap leases could otherwise starve the shared ring.
-    ChunkSink* sink = nullptr;
-    std::unique_ptr<PerChunkAdapter> adapter;
     // GC pin held for the session's whole dedup walk (dedup_on_store): a
     // concurrent gc() must not free a chunk between this stream's index hit
     // and its add_ref. Released by finalize_session.
@@ -420,6 +406,7 @@ class ChunkingService {
   void trace_batch(const Session& s, const core::BoundaryBatch& batch,
                    double h2d_finish, double kernel_finish, double fp_finish,
                    double d2h_finish, double index_seconds);
+  void collect_batch(Session& s, const core::BoundaryBatch& batch);
   void deliver_batch(Session& s, std::size_t first, bool eos);
   void finalize_session(Session& s, std::uint64_t total_bytes,
                         std::size_t batch_first);

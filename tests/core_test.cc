@@ -2,6 +2,7 @@
 // with the serial reference), and the end-to-end pipeline in all modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -277,14 +278,22 @@ TEST(Shredder, MinMaxEndToEnd) {
   }
 }
 
+// Concatenates every delivered batch's chunks.
+class ChunkCollector final : public ChunkSink {
+ public:
+  void on_batch(const ChunkBatchView& batch) override {
+    chunks.insert(chunks.end(), batch.chunks.begin(), batch.chunks.end());
+  }
+  std::vector<chunking::Chunk> chunks;
+};
+
 TEST(Shredder, UpcallsStreamInOrder) {
   ShredderConfig cfg = small_config();
   Shredder shredder(cfg);
   const auto data = random_bytes(200000, 15);
-  std::vector<chunking::Chunk> streamed;
-  const auto result = shredder.run(
-      as_bytes(data), [&](const chunking::Chunk& c) { streamed.push_back(c); });
-  EXPECT_EQ(streamed, result.chunks);
+  ChunkCollector streamed;
+  const auto result = shredder.run(as_bytes(data), streamed);
+  EXPECT_EQ(streamed.chunks, result.chunks);
 }
 
 TEST(Shredder, BoundarySpanningBuffersIsFound) {
@@ -809,9 +818,21 @@ TEST(SlotPool, StopWakesWaitersAndRefusesNewLeases) {
   EXPECT_FALSE(pool->acquire().has_value());  // but nothing new is handed out
 }
 
-// Engine-level regression for the double-splice bug: every batch's payload
-// must be byte-identical to carry_prefix ++ data as submitted, in both the
-// slot-backed (streams) and owned (basic) representations.
+// Leases a slot for `cursor`, copies `payload` in behind the staged carry
+// and submits it.
+bool stage(PipelineEngine& engine, StreamCursor& cursor, ByteSpan payload) {
+  auto slot = engine.lease_slot(cursor);
+  if (!slot.has_value()) return false;
+  std::copy(payload.begin(), payload.end(), slot->payload.begin());
+  return engine.submit_slot(cursor, std::move(*slot), payload.size(), {});
+}
+
+// Engine-level regression for the carry rule: every batch's payload must be
+// byte-identical to the stream's last w-1 bytes before the buffer (fewer at
+// the stream start) followed by the buffer's payload, in both the
+// slot-backed (streams) and owned (basic) representations — including a
+// payload shorter than the carry, whose successor's carry reaches back
+// into the buffer before it.
 class PipelinePayloadModes : public ::testing::TestWithParam<GpuMode> {};
 
 TEST_P(PipelinePayloadModes, BatchPayloadIsCarryPrefixPlusData) {
@@ -821,52 +842,38 @@ TEST_P(PipelinePayloadModes, BatchPayloadIsCarryPrefixPlusData) {
   PipelineEngineConfig cfg;
   cfg.mode = GetParam();
   cfg.slot_bytes = 8192;
-  cfg.ring_slots = 3;
+  cfg.ring_slots = 4;  // one per buffer: nothing drains until all are staged
   cfg.kernel.blocks = 4;
   cfg.kernel.threads_per_block = 16;
   PipelineEngine engine(cfg, device, tables, chunker);
 
-  const auto data = random_bytes(3 * 4096, 91);
-  const std::size_t carry = chunker.window - 1;
+  const std::vector<std::size_t> sizes = {4096, 5, 4096, 1000};
+  const auto data = random_bytes(4096 + 5 + 4096 + 1000, 91);
+  const std::size_t w1 = chunker.window - 1;
   std::vector<ByteVec> expect_staged;
   std::vector<std::size_t> expect_carry;
-  for (std::size_t i = 0; i < 3; ++i) {
-    StreamBuffer buf;
-    buf.seq = i;
-    const std::size_t pos = i * 4096;
-    buf.base_offset = i == 0 ? 0 : pos - carry;
-    if (i == 1) {
-      // Carry staged inside `data`: a producer holding both contiguously.
-      buf.carry = carry;
-      buf.data.assign(data.begin() + static_cast<std::ptrdiff_t>(pos - carry),
-                      data.begin() + static_cast<std::ptrdiff_t>(pos + 4096));
-    } else {
-      // Carry as a separate prefix, the service-scheduler shape — the
-      // layout the double host splice corrupted-by-copy.
-      if (i > 0) {
-        buf.carry_prefix.assign(
-            data.begin() + static_cast<std::ptrdiff_t>(pos - carry),
-            data.begin() + static_cast<std::ptrdiff_t>(pos));
-      }
-      buf.data.assign(data.begin() + static_cast<std::ptrdiff_t>(pos),
-                      data.begin() + static_cast<std::ptrdiff_t>(pos + 4096));
-    }
+  StreamCursor cursor;
+  std::size_t pos = 0;
+  for (const std::size_t n : sizes) {
+    const std::size_t carry = std::min(w1, pos);
     expect_staged.emplace_back(
-        data.begin() + static_cast<std::ptrdiff_t>(buf.base_offset),
-        data.begin() + static_cast<std::ptrdiff_t>(pos + 4096));
-    expect_carry.push_back(i == 0 ? 0 : carry);
-    ASSERT_TRUE(engine.submit(std::move(buf)));
+        data.begin() + static_cast<std::ptrdiff_t>(pos - carry),
+        data.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    expect_carry.push_back(carry);
+    ASSERT_TRUE(stage(engine, cursor, as_bytes(data).subspan(pos, n)));
+    pos += n;
   }
-  StreamBuffer eos;
-  eos.seq = 3;
-  eos.eos = true;
-  ASSERT_TRUE(engine.submit(std::move(eos)));
+  ASSERT_TRUE(engine.submit_eos(cursor));
   engine.close();
 
   std::size_t i = 0;
   while (auto batch = engine.next_batch()) {
-    if (batch->eos) continue;
+    if (batch->eos) {
+      EXPECT_EQ(batch->payload_end, data.size());
+      continue;
+    }
     ASSERT_LT(i, expect_staged.size());
+    EXPECT_EQ(batch->seq, i);
     EXPECT_EQ(batch->payload.slot_backed(), engine.pipelined());
     ASSERT_EQ(batch->payload.size(), expect_staged[i].size());
     EXPECT_EQ(std::memcmp(batch->payload.bytes().data(),
@@ -876,7 +883,7 @@ TEST_P(PipelinePayloadModes, BatchPayloadIsCarryPrefixPlusData) {
     EXPECT_EQ(batch->payload_carry, expect_carry[i]);
     ++i;
   }
-  EXPECT_EQ(i, 3u);
+  EXPECT_EQ(i, sizes.size());
   EXPECT_EQ(engine.slots_leased(), 0u);  // every lease dropped with its batch
 }
 
@@ -904,13 +911,11 @@ TEST(Pipeline, LeaseHoldersExtendBackpressureWithoutLeaking) {
   const auto data = random_bytes(3 * 2048, 93);
   std::atomic<std::size_t> submitted{0};
   std::thread producer([&] {
+    StreamCursor cursor;
     for (std::size_t i = 0; i < 3; ++i) {
-      StreamBuffer buf;
-      buf.seq = i;
-      buf.base_offset = i * 2048;
-      buf.data.assign(data.begin() + static_cast<std::ptrdiff_t>(i * 2048),
-                      data.begin() + static_cast<std::ptrdiff_t>((i + 1) * 2048));
-      if (!engine.submit(std::move(buf))) break;
+      if (!stage(engine, cursor, as_bytes(data).subspan(i * 2048, 2048))) {
+        break;
+      }
       submitted.fetch_add(1);
     }
     engine.close();
@@ -919,8 +924,8 @@ TEST(Pipeline, LeaseHoldersExtendBackpressureWithoutLeaking) {
   auto first = engine.next_batch();
   ASSERT_TRUE(first.has_value());
   ASSERT_FALSE(first->eos);
-  // While we hold the only slot's lease, the producer is stuck staging
-  // buffer 1 (buffer 0's submit was the one that went through).
+  // While we hold the only slot's lease, the producer is stuck leasing a
+  // slot for buffer 1 (buffer 0's submit was the one that went through).
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(submitted.load(), 1u);
   EXPECT_EQ(engine.slots_leased(), 1u);

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <thread>
 #include <vector>
@@ -228,6 +229,20 @@ TEST(ChunkingService, ChunkStreamMatchesShredderRun) {
 
 // --- Backpressure -----------------------------------------------------------
 
+// Runs `on_chunk` once per delivered chunk, in stream order, on the store
+// thread — the gate the backpressure and fairness tests stall on.
+class PerChunkSink final : public ChunkSink {
+ public:
+  explicit PerChunkSink(std::function<void(const chunking::Chunk&)> on_chunk)
+      : on_chunk_(std::move(on_chunk)) {}
+  void on_batch(const ChunkBatchView& batch) override {
+    for (const auto& c : batch.chunks) on_chunk_(c);
+  }
+
+ private:
+  std::function<void(const chunking::Chunk&)> on_chunk_;
+};
+
 TEST(ChunkingService, SlowConsumerNeverDeadlocksOrDropsBuffers) {
   // Tiny queues everywhere and a consumer that stalls on every chunk: the
   // whole pipeline backs up to the producer, which must simply block (never
@@ -240,11 +255,12 @@ TEST(ChunkingService, SlowConsumerNeverDeadlocksOrDropsBuffers) {
   const auto data = random_bytes(120000, 21);
   std::atomic<std::uint64_t> delivered{0};
   ChunkingService svc(cfg);
-  TenantOptions opts;
-  opts.on_chunk = [&](const chunking::Chunk& c) {
+  PerChunkSink slow([&](const chunking::Chunk& c) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     delivered += c.size;
-  };
+  });
+  TenantOptions opts;
+  opts.sink = &slow;
   const auto id = svc.open(std::move(opts));
   svc.submit(id, as_bytes(data));
   svc.finish(id);
@@ -266,10 +282,11 @@ TEST(ChunkingService, TrySubmitShedsLoadInsteadOfBlocking) {
   std::shared_future<void> release_f(release.get_future());
   std::atomic<bool> stalled{false};
   ChunkingService svc(cfg);
-  TenantOptions opts;
-  opts.on_chunk = [&, release_f](const chunking::Chunk&) {
+  PerChunkSink stall([&, release_f](const chunking::Chunk&) {
     if (!stalled.exchange(true)) release_f.wait();
-  };
+  });
+  TenantOptions opts;
+  opts.sink = &stall;
   const auto id = svc.open(std::move(opts));
 
   const auto buffer = random_bytes(cfg.buffer_bytes, 31);
@@ -308,11 +325,12 @@ TEST(ChunkingService, WeightedTenantFinishesFirstInVirtualTime) {
   std::promise<void> gate;
   std::shared_future<void> gate_f(gate.get_future());
   ChunkingService svc(cfg);
+  PerChunkSink gated([gate_f](const chunking::Chunk&) { gate_f.wait(); });
   TenantOptions heavy;
   heavy.weight = 8;
-  heavy.on_chunk = [gate_f](const chunking::Chunk&) { gate_f.wait(); };
+  heavy.sink = &gated;
   TenantOptions light;
-  light.on_chunk = [gate_f](const chunking::Chunk&) { gate_f.wait(); };
+  light.sink = &gated;
   const auto id_a = svc.open(std::move(heavy));
   const auto id_b = svc.open(std::move(light));
 
@@ -430,6 +448,12 @@ TEST(ChunkingService, EmptyStreamYieldsNoChunks) {
 TEST(ChunkingService, ConfigValidation) {
   ServiceConfig cfg = small_service_config();
   cfg.buffer_bytes = 4;
+  EXPECT_THROW(ChunkingService{cfg}, std::invalid_argument);
+  cfg = small_service_config();
+  cfg.ring_slots = 0;  // pipeline settings: the engine config's checks
+  EXPECT_THROW(ChunkingService{cfg}, std::invalid_argument);
+  cfg = small_service_config();
+  cfg.kernel.blocks = 0;
   EXPECT_THROW(ChunkingService{cfg}, std::invalid_argument);
   cfg = small_service_config();
   cfg.max_tenants = 0;

@@ -1,8 +1,8 @@
 // Batch-first consumer API suite (core/sink.h, docs/backup_wire.md):
 //
-//  * adapter equivalence — the per-chunk callback shims produce bit-identical
-//    chunk/digest streams to the batch path across Shredder, the service and
-//    the backup server;
+//  * batch delivery — the sink sees exactly the result's chunk/digest
+//    stream, and every frontend groups chunks into batches as one min/max
+//    cut over each buffer's raw boundaries would;
 //  * payload views — ChunkBatchView::chunk_bytes slices the real stream
 //    bytes, for in-memory runs and for streaming runs with a rolling tail;
 //  * extent-coalesced wire protocol — random duplicate-run layouts recreate
@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "backup/backup_server.h"
+#include "chunking/cdc.h"
+#include "chunking/minmax.h"
 #include "common/rng.h"
 #include "core/lease.h"
 #include "core/shredder.h"
@@ -83,7 +85,7 @@ core::ShredderConfig small_shredder_config(bool fingerprint) {
   return cfg;
 }
 
-// --- ChunkBatchView / PerChunkAdapter units --------------------------------
+// --- ChunkBatchView / PayloadTail units --------------------------------
 
 TEST(ChunkBatchView, ChunkBytesSlicesAndBoundsChecks) {
   const ByteVec data = random_bytes(256, 1);
@@ -225,65 +227,27 @@ TEST(PayloadTailDeathTest, RejectsCarryBeyondTheStagedBuffer) {
                "carry reaches before the stream start");
 }
 
-TEST(PerChunkAdapter, ReplaysBatchAsPerChunkUpcalls) {
-  std::vector<chunking::Chunk> seen;
-  std::vector<dedup::ChunkDigest> seen_digests;
-  PerChunkAdapter adapter(
-      [&](const chunking::Chunk& c) { seen.push_back(c); },
-      [&](const chunking::Chunk&, const dedup::ChunkDigest& d) {
-        seen_digests.push_back(d);
-      });
-  EXPECT_FALSE(adapter.empty());
-  const std::vector<chunking::Chunk> chunks = {{0, 10}, {10, 20}};
-  const std::vector<dedup::ChunkDigest> digests = {
-      dedup::ChunkHasher::hash(as_bytes(random_bytes(4, 2))),
-      dedup::ChunkHasher::hash(as_bytes(random_bytes(4, 3)))};
-  ChunkBatchView view;
-  view.chunks = chunks;
-  view.digests = digests;
-  adapter.on_batch(view);
-  EXPECT_EQ(seen, chunks);
-  ASSERT_EQ(seen_digests.size(), 2u);
-  EXPECT_EQ(seen_digests[0], digests[0]);
-  EXPECT_EQ(seen_digests[1], digests[1]);
-  EXPECT_TRUE(PerChunkAdapter({}, {}).empty());
-}
-
-// --- Shredder: adapter equivalence + payload views -------------------------
+// --- Shredder: batch delivery + payload views ------------------------------
 
 class ShredderSinkModes : public ::testing::TestWithParam<bool> {};
 
-TEST_P(ShredderSinkModes, CallbackShimMatchesBatchPath) {
+TEST_P(ShredderSinkModes, BatchPathMatchesResult) {
   const bool fingerprint = GetParam();
   const auto data = random_bytes(300000, 7);
 
-  core::Shredder a(small_shredder_config(fingerprint));
-  std::vector<chunking::Chunk> cb_chunks;
-  std::vector<dedup::ChunkDigest> cb_digests;
-  const auto cb_result = a.run(
-      as_bytes(data),
-      [&](const chunking::Chunk& c) { cb_chunks.push_back(c); },
-      [&](const chunking::Chunk&, const dedup::ChunkDigest& d) {
-        cb_digests.push_back(d);
-      });
-
-  core::Shredder b(small_shredder_config(fingerprint));
+  core::Shredder shredder(small_shredder_config(fingerprint));
   RecordingSink sink(/*want_payload=*/true);
-  const auto batch_result = b.run(as_bytes(data), sink);
+  const auto batch_result = shredder.run(as_bytes(data), sink);
 
-  // The shim and the batch path deliver bit-identical streams, both equal to
-  // the collected result.
-  EXPECT_EQ(cb_chunks, batch_result.chunks);
+  // The sink sees exactly the collected result, and it is the serial chunking.
   EXPECT_EQ(sink.chunks(), batch_result.chunks);
-  EXPECT_EQ(cb_result.chunks, batch_result.chunks);
+  EXPECT_EQ(batch_result.chunks,
+            chunking::chunk_serial(shredder.tables(),
+                                   shredder.config().chunker, as_bytes(data)));
   EXPECT_EQ(sink.eos_batches(), 1u);
   if (fingerprint) {
-    ASSERT_EQ(cb_digests.size(), batch_result.chunks.size());
+    EXPECT_EQ(sink.digests(), batch_result.digests);
     ASSERT_EQ(sink.digests().size(), batch_result.chunks.size());
-    for (std::size_t i = 0; i < cb_digests.size(); ++i) {
-      EXPECT_EQ(cb_digests[i], batch_result.digests[i]);
-      EXPECT_EQ(sink.digests()[i], batch_result.digests[i]);
-    }
   } else {
     EXPECT_TRUE(sink.digests().empty());
   }
@@ -335,7 +299,7 @@ TEST(ShredderSink, EmptyStreamDeliversOneEosBatch) {
   EXPECT_EQ(sink.eos_batches(), 1u);
 }
 
-// --- Service: adapter equivalence ------------------------------------------
+// --- Service: batch delivery ------------------------------------------
 
 service::ServiceConfig small_service_config(bool fingerprint) {
   service::ServiceConfig cfg;
@@ -348,51 +312,6 @@ service::ServiceConfig small_service_config(bool fingerprint) {
   cfg.sim_threads = 4;
   cfg.fingerprint_on_device = fingerprint;
   return cfg;
-}
-
-TEST(ServiceSink, CallbackShimMatchesBatchPath) {
-  for (const bool fingerprint : {false, true}) {
-    service::ChunkingService svc(small_service_config(fingerprint));
-    const auto data = random_bytes(200000, 21);
-
-    std::vector<chunking::Chunk> cb_chunks;
-    std::vector<dedup::ChunkDigest> cb_digests;
-    service::TenantOptions with_callbacks;
-    with_callbacks.on_chunk = [&](const chunking::Chunk& c) {
-      cb_chunks.push_back(c);
-    };
-    with_callbacks.on_digest = [&](const chunking::Chunk&,
-                                   const dedup::ChunkDigest& d) {
-      cb_digests.push_back(d);
-    };
-    RecordingSink sink;
-    service::TenantOptions with_sink;
-    with_sink.sink = &sink;
-
-    const auto id_a = svc.open(std::move(with_callbacks));
-    const auto id_b = svc.open(std::move(with_sink));
-    for (const auto id : {id_a, id_b}) {
-      svc.submit(id, as_bytes(data));
-      svc.finish(id);
-    }
-    const auto res_a = svc.wait(id_a);
-    const auto res_b = svc.wait(id_b);
-    svc.shutdown();
-
-    EXPECT_EQ(res_a.chunks, res_b.chunks);
-    EXPECT_EQ(cb_chunks, res_a.chunks);
-    EXPECT_EQ(sink.chunks(), res_b.chunks);
-    EXPECT_EQ(sink.eos_batches(), 1u);
-    EXPECT_FALSE(sink.batch_ends().empty());
-    EXPECT_EQ(sink.batch_ends().back(), res_b.chunks.size());
-    if (fingerprint) {
-      ASSERT_EQ(cb_digests.size(), res_a.chunks.size());
-      ASSERT_EQ(sink.digests().size(), res_b.chunks.size());
-      for (std::size_t i = 0; i < cb_digests.size(); ++i) {
-        EXPECT_EQ(sink.digests()[i], cb_digests[i]);
-      }
-    }
-  }
 }
 
 TEST(ServiceSink, PayloadWantingSinkGetsViewsWithoutStoreRetention) {
@@ -459,6 +378,102 @@ TEST(ServiceSink, DedupStoreServiceDeliversPayloadViews) {
                           static_cast<std::size_t>(c.size)),
               0)
         << "chunk " << i;
+  }
+}
+
+// --- Batch grouping: the engine is the one min/max cut ----------------------
+
+// Chunks per delivered batch, eos batch last.
+std::vector<std::size_t> batch_sizes(const RecordingSink& sink) {
+  std::vector<std::size_t> sizes;
+  std::size_t prev = 0;
+  for (const std::size_t end : sink.batch_ends()) {
+    sizes.push_back(end - prev);
+    prev = end;
+  }
+  return sizes;
+}
+
+// The grouping one host MinMaxFilter fed each buffer's raw boundaries yields:
+// chunks per buffer that finalized any (frontends deliver no empty non-eos
+// batch), then the eos batch. `drain` adds the fingerprint stage's
+// drain_forced at every buffer end.
+std::vector<std::size_t> oracle_batch_sizes(
+    const chunking::ChunkerConfig& chunker, ByteSpan data,
+    std::size_t buffer_bytes, bool drain) {
+  const rabin::RabinTables tables(chunker.window);
+  const auto raw = chunking::find_raw_boundaries(tables, chunker, data);
+  std::size_t n = 0;
+  chunking::MinMaxFilter cut(chunker.min_size, chunker.max_size,
+                             [&](std::uint64_t) { ++n; });
+  std::vector<std::size_t> sizes;
+  auto next_raw = raw.begin();
+  for (std::uint64_t end = 0; end < data.size();) {
+    end = std::min<std::uint64_t>(end + buffer_bytes, data.size());
+    for (; next_raw != raw.end() && *next_raw <= end; ++next_raw) {
+      cut.push(*next_raw);
+    }
+    if (drain) cut.drain_forced(end);
+    if (n > 0) sizes.push_back(n);
+    n = 0;
+  }
+  cut.finish(data.size());
+  sizes.push_back(n);
+  return sizes;
+}
+
+TEST(BatchGrouping, EveryFrontendGroupsChunksLikeOneCutPerBuffer) {
+  // Sparse raw boundaries (one per ~16 KiB) and max_size 32 bytes short of
+  // a 4 KiB buffer: after each raw boundary, the max-size forced cuts land
+  // just before the following buffer seams (32, 64, 96... bytes early), and
+  // the next raw boundary usually sits buffers later. A fingerprinting
+  // engine drains each forced cut in the buffer that holds it; without
+  // fingerprinting it must wait for the next raw boundary, exactly as a
+  // store-side filter would — so the two groupings differ on this stream.
+  chunking::ChunkerConfig chunker;
+  chunker.window = 16;
+  chunker.mask_bits = 14;
+  chunker.marker = 0x42;
+  chunker.min_size = 64;
+  chunker.max_size = 4096 - 32;
+  const std::size_t buffer_bytes = 4096;
+  const auto data = random_bytes(48 * buffer_bytes + 1234, 77);
+  const auto plain =
+      oracle_batch_sizes(chunker, as_bytes(data), buffer_bytes, false);
+  const auto drained =
+      oracle_batch_sizes(chunker, as_bytes(data), buffer_bytes, true);
+  ASSERT_NE(plain, drained) << "the stream no longer tells the cuts apart";
+
+  for (const bool fingerprint : {false, true}) {
+    const auto& expected = fingerprint ? drained : plain;
+    for (const core::GpuMode mode :
+         {core::GpuMode::kBasic, core::GpuMode::kStreams,
+          core::GpuMode::kStreamsCoalesced}) {
+      core::ShredderConfig cfg = small_shredder_config(fingerprint);
+      cfg.chunker = chunker;
+      cfg.buffer_bytes = buffer_bytes;
+      cfg.mode = mode;
+      core::Shredder shredder(cfg);
+      RecordingSink sink;
+      shredder.run(as_bytes(data), sink);
+      EXPECT_EQ(batch_sizes(sink), expected)
+          << "Shredder mode " << static_cast<int>(mode) << " fingerprint "
+          << fingerprint;
+    }
+    service::ServiceConfig cfg = small_service_config(fingerprint);
+    cfg.chunker = chunker;
+    cfg.buffer_bytes = buffer_bytes;
+    service::ChunkingService svc(cfg);
+    RecordingSink sink;
+    service::TenantOptions opts;
+    opts.sink = &sink;
+    const auto id = svc.open(std::move(opts));
+    svc.submit(id, as_bytes(data));
+    svc.finish(id);
+    svc.wait(id);
+    svc.shutdown();
+    EXPECT_EQ(batch_sizes(sink), expected)
+        << "ChunkingService fingerprint " << fingerprint;
   }
 }
 
