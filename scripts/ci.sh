@@ -5,7 +5,8 @@
 #      -Werror=thread-safety over the annotations in src/common/annotations.h)
 #   3. best-effort clang-tidy (skips cleanly on gcc-only toolchains)
 #   4. microbench smokes, then the repo benchmark's chunk_stream gates
-#   5. ASan/UBSan lane (unaligned loads, arena-backed block chains)
+#   5. ASan/UBSan lane (unaligned and masked vector loads, arena-backed block
+#      chains, per-block device accounting)
 #   6. TSan lane over the concurrency-heavy suites (queues, thread pool,
 #      obs registry/tracer, multi-tenant service, transport)
 #
@@ -23,6 +24,11 @@ python3 scripts/check_invariants.py
 echo "=== strict build (-Wall -Wextra -Werror; clang: -Werror=thread-safety) ==="
 cmake -B "$BUILD_DIR" -S . -DSHREDDER_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
+# Which scan_buffer path this CPU dispatches to (window-sum vector scan or
+# scalar lanes), so the log shows what the chunking suites covered. Without
+# GFNI/AVX-512BW the window-sum tests skip; the scalar lanes stay covered
+# through their direct detail:: tests either way.
+"$BUILD_DIR/chunking_test" --gtest_filter='ScanDispatch.*' | grep 'scan path'
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "=== clang-tidy (best-effort; skips when the binary is absent) ==="
@@ -119,15 +125,17 @@ PERFBENCH_DIR="${CARGO_TARGET_DIR:-.bench_build}/perfbench"
 cmake --build "$PERFBENCH_DIR" -j "$JOBS" --target perfbench_test
 ctest --test-dir "$PERFBENCH_DIR" --output-on-failure -R '^perfbench'
 
-echo "=== ASan/UBSan build (chunking + fingerprint + index + wire + obs stack) ==="
+echo "=== ASan/UBSan build (chunking + kernel + fingerprint + index + wire + obs stack) ==="
+# gpusim_test runs the device's per-block accounting; chunking_test and
+# core_test run the window-sum scan's masked loads at buffer edges.
 SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DSHREDDER_WERROR=ON -DSHREDDER_SANITIZE=address
 cmake --build "$SAN_DIR" -j "$JOBS" \
   --target chunking_test rabin_test minmax_test fingerprint_test \
   index_test dedup_test retention_test core_test sink_test transport_test \
-  obs_test common_test
+  obs_test common_test gpusim_test
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-  -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|transport_test|obs_test|common_test'
+  -R 'chunking_test|rabin_test|minmax_test|fingerprint_test|index_test|dedup_test|retention_test|core_test|sink_test|transport_test|obs_test|common_test|gpusim_test'
 
 echo "=== TSan build (queues, thread pool, obs, service, transport, backup) ==="
 # The suites that genuinely run multiple threads: common_test (BoundedQueue +

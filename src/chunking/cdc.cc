@@ -4,6 +4,11 @@
 
 namespace shredder::chunking {
 
+const char* scan_buffer_path() noexcept {
+  return detail::window_sum_supported() ? "window-sum (AVX-512BW+GFNI)"
+                                        : "scalar lanes";
+}
+
 std::vector<std::uint64_t> find_raw_boundaries(const rabin::RabinTables& tables,
                                                const ChunkerConfig& config,
                                                ByteSpan data) {

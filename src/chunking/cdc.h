@@ -111,19 +111,19 @@ void scan_raw(const rabin::RabinTables& tables, const ChunkerConfig& config,
   scanner.feed(data, emit);
 }
 
-// Branch-free batched scan of an in-memory span: the hot path shared by
-// every backend. Emits exactly the boundaries scan_raw would, bit for bit,
-// but with none of StreamScanner's per-byte overhead:
+// Batched scan of an in-memory span: the hot path shared by every backend.
+// Emits exactly the boundaries scan_raw would, bit for bit, but with none
+// of StreamScanner's per-byte overhead. Two paths, chosen once at runtime:
 //
-//  * no ring buffer — the byte leaving the window is just data[i - w];
-//  * a warmup prologue fills the window once, so the steady-state loop has
-//    no `filled == w` check and no wraparound arithmetic;
-//  * the steady state runs in unrolled batches of 8 with the boundary-mask
-//    test hoisted into one accumulated predicate per batch, and the carried
-//    fingerprint hops four bytes per fused table round (RabinTables::slide4)
-//    instead of one table walk per byte;
-//  * large spans additionally run as two interleaved lanes whose carried
-//    chains are independent, hiding the hop latency entirely.
+//  * window sum (x86-64 with AVX512BW + GFNI): the boundary bits of every
+//    window are a sum of per-distance GF(2) matrix products of its bytes,
+//    evaluated 64 positions per instruction with no carried chain; only
+//    hits recompute a full fingerprint (detail::scan_window_sum);
+//  * scalar lanes elsewhere: no ring buffer (the byte leaving the window is
+//    data[i - w]), a warmup prologue, unrolled batches of 8 with one
+//    hoisted mask predicate, a carried fingerprint that hops four bytes per
+//    fused table round (RabinTables::slide4), and two interleaved lanes on
+//    spans of 256 KiB or more.
 //
 // See docs/perf.md for the design rationale and measurements.
 template <typename Emit>
@@ -140,13 +140,19 @@ void scan_buffer(const rabin::RabinTables& tables, const ChunkerConfig& config,
   const std::uint64_t mask = config.boundary_mask();
   const std::uint64_t marker = config.marker;
   const std::uint8_t* const p = data.data();
-  if (n >= detail::kTwoLaneMinBytes) {
+  if (detail::window_sum_supported()) {
+    detail::scan_window_sum(tables, mask, marker, p, n, warmup, base, emit);
+  } else if (n >= detail::kTwoLaneMinBytes) {
     detail::scan_two_lanes(tables, mask, marker, p, n, warmup, base, emit);
   } else {
     detail::scan_lane(tables, mask, marker, p, /*start=*/0, n, warmup, base,
                       emit);
   }
 }
+
+// The scan_buffer path this CPU dispatches to, for logs: "window-sum
+// (AVX-512BW+GFNI)" or "scalar lanes".
+const char* scan_buffer_path() noexcept;
 
 // Raw boundaries (no min/max) of an in-memory buffer. End offsets are
 // strictly ascending and never include `data.size()` unless the final window

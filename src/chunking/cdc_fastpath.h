@@ -1,7 +1,14 @@
 // Internals of the scan_buffer fast path (chunking/cdc.h). Split out so the
 // public header stays readable; include cdc.h, not this file.
+//
+// Two paths give bit-identical output. The window-sum scan
+// (scan_window_sum) evaluates every window position independently with
+// GFNI/AVX-512BW and is used whenever the CPU has them. The scalar lanes
+// (scan_lane, scan_two_lanes) are the fallback elsewhere and the oracle the
+// tests hold the vector path against.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -200,9 +207,53 @@ inline void scan_two_lanes(const rabin::RabinTables& tables,
   for (const auto& [end, fp] : hits_b) emit(end, fp);
 }
 
-// Spans at least this large use the two-lane scan (the crossover is far
-// lower, but small spans are latency-sensitive and lane warmup costs 2w
-// table walks; GPU tiles and parallel regions stay single-lane).
+// Spans at least this large use the two-lane scan on the scalar path (the
+// crossover is far lower, but small spans are latency-sensitive and lane
+// warmup costs 2w table walks).
 inline constexpr std::size_t kTwoLaneMinBytes = std::size_t{256} << 10;
+
+// --- Chain-free window-sum scan (chunking/window_sum.cc) ---
+
+// Receives the window-sum hits: fn(ctx, i) for window end position i.
+struct HitSink {
+  void (*fn)(void* ctx, std::size_t position);
+  void* ctx;
+};
+
+// True when the CPU reports AVX512F, AVX512BW and GFNI and the OS saves the
+// opmask and ZMM state. Decided once, on first use; always false off x86-64.
+bool window_sum_supported() noexcept;
+
+// Calls `hits` in ascending order for every position i in [first, n) whose
+// window p[i+1-w .. i] has (fingerprint & mask) == marker. Requires
+// window_sum_supported(), first >= w - 1 and w <= kMaxWindow.
+void window_sum_hits(const rabin::RabinTables& tables, std::uint64_t mask,
+                     std::uint64_t marker, const std::uint8_t* p,
+                     std::size_t first, std::size_t n, HitSink hits);
+
+// scan_lane's contract over [0, n) on the window-sum path: positions
+// i >= max(w-1, warmup) are tested, and each hit's full fingerprint is
+// recomputed with w pushes so emit(base + i + 1, fp) matches the scalar
+// lanes bit for bit.
+template <typename Emit>
+inline void scan_window_sum(const rabin::RabinTables& tables,
+                            std::uint64_t mask, std::uint64_t marker,
+                            const std::uint8_t* p, std::size_t n,
+                            std::size_t warmup, std::uint64_t base,
+                            Emit&& emit) {
+  const std::size_t w = tables.window();
+  if (n < w) return;
+  auto on_hit = [&](std::size_t i) {
+    std::uint64_t fp = 0;
+    for (std::size_t k = i + 1 - w; k <= i; ++k) fp = tables.push(fp, p[k]);
+    emit(base + i + 1, fp);
+  };
+  using OnHit = decltype(on_hit);
+  const HitSink sink{[](void* ctx, std::size_t i) {
+                       (*static_cast<OnHit*>(ctx))(i);
+                     },
+                     &on_hit};
+  window_sum_hits(tables, mask, marker, p, std::max(w - 1, warmup), n, sink);
+}
 
 }  // namespace shredder::chunking::detail

@@ -12,6 +12,10 @@
 //  * Coalesced kernel (§4.3): the threads of a block cooperatively stage
 //    tiles of their sub-streams into on-chip shared memory with contiguous
 //    128 B half-warp transactions, then fingerprint out of shared memory.
+//
+// The simulation accounts that memory traffic tile by tile, then computes
+// each thread's boundaries with one scan of its sub-stream straight from
+// the device buffer: staging moves bytes, not results.
 #pragma once
 
 #include <cstdint>

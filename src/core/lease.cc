@@ -59,6 +59,7 @@ std::size_t SlotPool::leased() const {
 
 struct SlotLease::Rep {
   ByteVec owned;
+  std::unique_ptr<std::uint8_t[]> owned_raw;
   std::shared_ptr<detail::SlotPool> pool;
   std::size_t slot = 0;
   bool slot_backed = false;
@@ -75,6 +76,14 @@ SlotLease SlotLease::from_owned(ByteVec bytes) {
   auto rep = std::make_shared<Rep>();
   rep->owned = std::move(bytes);
   const ByteSpan span{rep->owned.data(), rep->owned.size()};
+  return SlotLease(std::move(rep), span);
+}
+
+SlotLease SlotLease::from_owned(std::unique_ptr<std::uint8_t[]> bytes,
+                               std::size_t size) {
+  auto rep = std::make_shared<Rep>();
+  rep->owned_raw = std::move(bytes);
+  const ByteSpan span{rep->owned_raw.get(), size};
   return SlotLease(std::move(rep), span);
 }
 

@@ -94,9 +94,12 @@ class SlotLease {
     return *this;
   }
 
-  // Wraps bytes the lease owns outright (pageable-mode staging, tail
-  // compaction copies).
+  // Wraps bytes the lease owns outright (tail compaction copies).
   static SlotLease from_owned(ByteVec bytes);
+  // Wraps `size` bytes at `bytes`, which the lease owns outright and which
+  // may be uninitialised (pageable-mode staging the producer overwrites).
+  static SlotLease from_owned(std::unique_ptr<std::uint8_t[]> bytes,
+                              std::size_t size);
 
   // Aliases `len` bytes of `pool`'s slot `slot`; the slot is released back
   // to the pool when the last lease drops.

@@ -171,11 +171,13 @@ std::optional<WritableSlot> PipelineEngine::lease_slot(
     slot.lease = SlotLease::from_slot(pool_, *index, config_.slot_bytes);
     bytes = pool_->slot_span(*index);
   } else {
-    // The paper's pageable baseline: a fresh vector per buffer, whose heap
-    // block (and so `bytes`) survives the move into the lease.
-    ByteVec owned(config_.slot_bytes);
-    bytes = MutableByteSpan(owned);
-    slot.lease = SlotLease::from_owned(std::move(owned));
+    // The paper's pageable baseline: a fresh heap block per buffer. It is
+    // left uninitialised: the carry and the producer overwrite every byte
+    // the buffer stages.
+    auto owned = std::make_unique_for_overwrite<std::uint8_t[]>(
+        config_.slot_bytes);
+    bytes = MutableByteSpan(owned.get(), config_.slot_bytes);
+    slot.lease = SlotLease::from_owned(std::move(owned), config_.slot_bytes);
   }
   SHREDDER_CHECK(cursor.carry.size() < bytes.size());
   std::copy(cursor.carry.begin(), cursor.carry.end(), bytes.begin());

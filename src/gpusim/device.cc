@@ -10,13 +10,11 @@
 namespace shredder::gpu {
 
 BlockCtx::BlockCtx(int block_idx, const LaunchConfig& config,
-                   const DeviceSpec& spec, LaunchAccumulators& acc,
-                   MutableByteSpan shared,
+                   const DeviceSpec& spec, MutableByteSpan shared,
                    std::vector<std::uint64_t>* exact_addrs)
     : block_idx_(block_idx),
       config_(&config),
       spec_(&spec),
-      acc_(&acc),
       shared_(shared),
       exact_addrs_(exact_addrs) {}
 
@@ -25,7 +23,7 @@ void BlockCtx::record_global_read(std::uint64_t addr,
   if (bytes == 0) return;
   const std::uint64_t txn = config_->txn_bytes;
   const std::uint64_t n = (bytes + txn - 1) / txn;
-  acc_->transactions.fetch_add(n, std::memory_order_relaxed);
+  counters_.transactions += n;
   if (exact_addrs_ != nullptr) {
     for (std::uint64_t i = 0; i < n; ++i) {
       exact_addrs_->push_back(addr + i * txn);
@@ -118,27 +116,31 @@ KernelRunStats Device::launch(const LaunchConfig& config, const KernelFn& fn) {
     throw std::invalid_argument("launch: txn_bytes must be positive");
   }
   Stopwatch wall;
-  LaunchAccumulators acc;
 
-  // Per-block shared-memory staging and (optionally) exact address traces.
+  // Per-block shared-memory staging, work counters and (optionally) exact
+  // address traces.
   std::vector<std::vector<std::uint8_t>> shared(
       static_cast<std::size_t>(config.blocks));
   std::vector<std::vector<std::uint64_t>> traces(
       config.exact_dram ? static_cast<std::size_t>(config.blocks) : 0);
+  std::vector<BlockCounters> counters(static_cast<std::size_t>(config.blocks));
 
   pool_.for_each_index(static_cast<std::size_t>(config.blocks),
                        [&](std::size_t b) {
                          shared[b].resize(spec_.shared_mem_per_sm);
-                         BlockCtx ctx(static_cast<int>(b), config, spec_, acc,
+                         BlockCtx ctx(static_cast<int>(b), config, spec_,
                                       {shared[b].data(), shared[b].size()},
                                       config.exact_dram ? &traces[b] : nullptr);
                          fn(ctx);
+                         counters[b] = ctx.counters();
                        });
 
   KernelRunStats stats;
-  stats.bytes_processed = acc.bytes_processed.load();
-  stats.transactions = acc.transactions.load();
-  stats.shared_staged_bytes = acc.shared_staged_bytes.load();
+  for (const BlockCounters& c : counters) {
+    stats.bytes_processed += c.bytes_processed;
+    stats.transactions += c.transactions;
+    stats.shared_staged_bytes += c.shared_staged_bytes;
+  }
   stats.bytes_fetched = stats.transactions * spec_.burst_bytes;
 
   // Row-switch fraction: exact replay (SIMT round-robin across block traces)

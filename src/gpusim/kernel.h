@@ -12,7 +12,6 @@
 //                 row-switch fraction for the launch's access pattern.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -72,19 +71,19 @@ struct KernelRunStats {
   }
 };
 
-// Accumulators shared by all blocks of one launch.
-struct LaunchAccumulators {
-  std::atomic<std::uint64_t> bytes_processed{0};
-  std::atomic<std::uint64_t> transactions{0};
-  std::atomic<std::uint64_t> shared_staged_bytes{0};
+// Work recorded by one block, in plain block-local counters. The launch
+// sums every block's counters once all blocks have finished.
+struct BlockCounters {
+  std::uint64_t bytes_processed = 0;
+  std::uint64_t transactions = 0;
+  std::uint64_t shared_staged_bytes = 0;
 };
 
 // Per-block execution context handed to the kernel callable.
 class BlockCtx {
  public:
   BlockCtx(int block_idx, const LaunchConfig& config, const DeviceSpec& spec,
-           LaunchAccumulators& acc, MutableByteSpan shared,
-           std::vector<std::uint64_t>* exact_addrs);
+           MutableByteSpan shared, std::vector<std::uint64_t>* exact_addrs);
 
   int block_idx() const noexcept { return block_idx_; }
   int num_blocks() const noexcept { return config_->blocks; }
@@ -98,7 +97,7 @@ class BlockCtx {
 
   // Accounts `bytes` of input consumed by the kernel's compute loop.
   void record_processed(std::uint64_t bytes) noexcept {
-    acc_->bytes_processed.fetch_add(bytes, std::memory_order_relaxed);
+    counters_.bytes_processed += bytes;
   }
 
   // Accounts a global-memory read of `bytes` issued as `txn_bytes`-sized
@@ -107,14 +106,17 @@ class BlockCtx {
 
   // Accounts data staged into shared memory by the cooperative fetch.
   void record_shared_stage(std::uint64_t bytes) noexcept {
-    acc_->shared_staged_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    counters_.shared_staged_bytes += bytes;
   }
+
+  // Everything this block recorded so far.
+  const BlockCounters& counters() const noexcept { return counters_; }
 
  private:
   int block_idx_;
   const LaunchConfig* config_;
   const DeviceSpec* spec_;
-  LaunchAccumulators* acc_;
+  BlockCounters counters_;
   MutableByteSpan shared_;
   std::vector<std::uint64_t>* exact_addrs_;  // non-null in exact_dram mode
 };

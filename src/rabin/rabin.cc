@@ -71,6 +71,28 @@ RabinTables::RabinTables(std::size_t window_bytes, std::uint64_t poly_low64)
     }
     out_exp = gf2_mod(out_exp << 8, p);
   }
+
+  // Window-sum matrices. column[k] = (1<<k) * x^(8j) mod P, advanced one
+  // distance per round by a zero-byte push. Output bit r of plane q is row
+  // r, which gf2p8affineqb reads from byte 7-r; its bit k is bit 8q+r of
+  // column k.
+  plane_matrices_.assign(window_bytes * kMatrixPlanes, 0);
+  std::array<std::uint64_t, 8> column;
+  for (unsigned k = 0; k < 8; ++k) {
+    column[k] = push(0, static_cast<std::uint8_t>(1u << k));
+  }
+  for (std::size_t j = 0; j < window_bytes; ++j) {
+    for (unsigned q = 0; q < kMatrixPlanes; ++q) {
+      std::uint64_t m = 0;
+      for (unsigned r = 0; r < 8; ++r) {
+        for (unsigned k = 0; k < 8; ++k) {
+          m |= ((column[k] >> (8 * q + r)) & 1) << (8 * (7 - r) + k);
+        }
+      }
+      plane_matrices_[j * kMatrixPlanes + q] = m;
+    }
+    for (auto& c : column) c = push(c, 0);
+  }
 }
 
 std::uint64_t RabinTables::x_pow_8k(std::uint64_t k) const {

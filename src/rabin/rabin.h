@@ -28,11 +28,23 @@
 //   out4_table[m][o] = (o * x^(8*w+8*(3-m)))  mod P   (the m-th of the four
 //                                                      leaving window bytes)
 //
-// The carried chain thus advances four bytes per hop; a buffer scan computes
-// the three intermediate fingerprints off the critical path (see
-// chunking::scan_buffer). An 8-byte hop was prototyped the same way and
-// measured no faster (the scan is resource-bound by then, docs/perf.md), so
-// the tables stop at the 4-byte tier.
+// The carried chain thus advances four bytes per hop; the scalar buffer scan
+// computes the three intermediate fingerprints off the critical path (see
+// chunking::scan_buffer). Past that tier the scalar scan is bound by its
+// table loads, not by the chain: an 8-byte hop and 2-8 interleaved lanes
+// were all measured no faster (docs/perf.md).
+//
+// Linearity also removes the chain altogether. The fingerprint of the
+// window ending at byte i is the XOR over distances j < w of
+// T_j(data[i-j]) = data[i-j] * x^(8j) mod P, and each byte plane q of T_j
+// is an 8x8 GF(2) matrix applied to one byte:
+//
+//   plane_matrix(j, q): column k = bits 8q..8q+7 of (1<<k) * x^(8j) mod P
+//
+// stored in the row layout of x86 gf2p8affineqb (output bit r is the parity
+// of input & byte 7-r), so one instruction evaluates one term at 64 window
+// positions. The vector scan in chunking/window_sum.cc sums the terms for
+// the ceil(mask_bits/8) low planes the boundary test reads.
 //
 // RabinTables is immutable after construction and safe to share across
 // threads; RabinWindow is a small per-thread cursor.
@@ -40,6 +52,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/bytes.h"
 
@@ -60,6 +73,10 @@ class RabinTables {
   // Throws std::invalid_argument for w == 0 or a reducible polynomial.
   explicit RabinTables(std::size_t window_bytes = 48,
                        std::uint64_t poly_low64 = kDefaultPoly);
+
+  // Byte planes with a plane_matrix: enough for the 48 low fingerprint bits
+  // a ChunkerConfig can test.
+  static constexpr unsigned kMatrixPlanes = 6;
 
   std::size_t window() const noexcept { return window_; }
   std::uint64_t poly() const noexcept { return poly_; }
@@ -118,6 +135,13 @@ class RabinTables {
   // fingerprints.
   std::uint64_t fingerprint(ByteSpan data) const noexcept;
 
+  // The gf2p8affineqb matrix mapping the byte at window distance j
+  // (0 = newest, j < window()) to byte plane q (< kMatrixPlanes) of its
+  // fingerprint term; see the header comment.
+  std::uint64_t plane_matrix(std::size_t j, unsigned q) const noexcept {
+    return plane_matrices_[j * kMatrixPlanes + q];
+  }
+
  private:
   std::size_t window_;
   std::uint64_t poly_;
@@ -129,6 +153,8 @@ class RabinTables {
   // out4_table_[m][o] = o * x^(8w+8(3-m)) mod P; the m=3 case is
   // slide_table_.
   std::array<std::array<std::uint64_t, 256>, 3> out4_table_;
+  // window() * kMatrixPlanes matrices, distance-major.
+  std::vector<std::uint64_t> plane_matrices_;
 };
 
 // Sliding-window cursor. push() returns the fingerprint of the last

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <array>
+#include <iostream>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "chunking/arena.h"
 #include "chunking/cdc.h"
@@ -705,6 +708,155 @@ TEST(StreamScanner, RejectsOversizedTableWindow) {
   ChunkerConfig config;
   EXPECT_THROW(StreamScanner(tables, config), std::invalid_argument);
 }
+
+// --- Scan paths against each other: window sum, scalar lanes, StreamScanner
+
+TEST(ScanDispatch, ReportsPath) {
+  const std::string path = scan_buffer_path();
+  std::cout << "[ scan path ] scan_buffer dispatches to: " << path << "\n";
+  EXPECT_EQ(path.rfind("window-sum", 0) == 0, detail::window_sum_supported());
+}
+
+using Hit = std::pair<std::uint64_t, std::uint64_t>;  // (end offset, fp)
+
+struct ScanPathCase {
+  unsigned mask_bits;
+  std::size_t window;
+};
+
+// Random bytes with copies of the first w-byte block planted every 97 + w
+// bytes (so hits land at every phase of a 64-position vector), and a marker
+// that block's window matches, so even a 48-bit mask has hits.
+std::pair<ByteVec, ChunkerConfig> planted_case(const RabinTables& tables,
+                                               unsigned mask_bits) {
+  const std::size_t w = tables.window();
+  ByteVec data = random_bytes(4000, 500 + w + mask_bits);
+  const ByteVec block(data.begin(), data.begin() + static_cast<long>(w));
+  for (std::size_t at = w + 5; at + w <= data.size(); at += 97 + w) {
+    std::copy(block.begin(), block.end(),
+              data.begin() + static_cast<long>(at));
+  }
+  ChunkerConfig config;
+  config.window = w;
+  config.mask_bits = mask_bits;
+  config.marker = tables.fingerprint(as_bytes(block)) & config.boundary_mask();
+  return {std::move(data), config};
+}
+
+// Every span shape the scanners must agree on, as (pointer offset into the
+// data, length, warmup): spans shorter than w, a first tested position equal
+// to the span end, and 0, 1, 63, 64 and 65 tested positions past whole
+// stretches, from unaligned pointers, with and without warmup.
+template <typename Fn>
+void for_each_span(std::size_t w, Fn&& fn) {
+  for (const std::size_t off : {0u, 1u, 3u, 61u}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, w - 1}) {
+      fn(off, n, std::size_t{0});
+    }
+    for (const std::size_t warmup : {std::size_t{0}, std::size_t{5}, w + 37}) {
+      const std::size_t first = std::max(w - 1, warmup);
+      for (const std::size_t stretches : {0u, 3u}) {
+        for (const std::size_t tail : {0u, 1u, 63u, 64u, 65u}) {
+          fn(off, first + 256 * stretches + tail, warmup);
+        }
+      }
+      fn(off, first + 1000, warmup);
+    }
+  }
+}
+
+template <typename Scan>
+std::vector<Hit> collect(Scan&& scan) {
+  std::vector<Hit> hits;
+  scan([&](std::uint64_t end, std::uint64_t fp) {
+    hits.emplace_back(end, fp);
+  });
+  return hits;
+}
+
+class ScanPaths : public ::testing::TestWithParam<ScanPathCase> {};
+
+TEST_P(ScanPaths, ScalarLanesMatchStreamScanner) {
+  const RabinTables tables(GetParam().window);
+  const auto [data, config] = planted_case(tables, GetParam().mask_bits);
+  const std::size_t w = tables.window();
+  const std::uint64_t mask = config.boundary_mask();
+  std::size_t total = 0;
+  for_each_span(w, [&](std::size_t off, std::size_t n, std::size_t warmup) {
+    const std::uint8_t* p = data.data() + off;
+    const ByteSpan span{p, n};
+    const std::uint64_t base = 1000 + off;
+    const auto oracle = collect([&](auto&& emit) {
+      scan_raw(tables, config, span, warmup, base, emit);
+    });
+    total += oracle.size();
+    const auto lane = collect([&](auto&& emit) {
+      detail::scan_lane(tables, mask, config.marker, p, 0, n, warmup, base,
+                        emit);
+    });
+    EXPECT_EQ(lane, oracle) << "off " << off << " n " << n << " warmup "
+                            << warmup;
+    if (n >= 2 * w + 2) {  // both lanes hold at least one full window
+      const auto two = collect([&](auto&& emit) {
+        detail::scan_two_lanes(tables, mask, config.marker, p, n, warmup,
+                               base, emit);
+      });
+      EXPECT_EQ(two, oracle) << "off " << off << " n " << n << " warmup "
+                             << warmup;
+    }
+    const auto buffer = collect([&](auto&& emit) {
+      scan_buffer(tables, config, span, warmup, base, emit);
+    });
+    EXPECT_EQ(buffer, oracle) << "off " << off << " n " << n << " warmup "
+                              << warmup;
+  });
+  EXPECT_GT(total, 0u);
+}
+
+TEST_P(ScanPaths, WindowSumMatchesStreamScanner) {
+  if (!detail::window_sum_supported()) {
+    GTEST_SKIP() << "CPU lacks AVX512F/AVX512BW/GFNI";
+  }
+  const RabinTables tables(GetParam().window);
+  const auto [data, config] = planted_case(tables, GetParam().mask_bits);
+  const std::uint64_t mask = config.boundary_mask();
+  std::size_t total = 0;
+  for_each_span(tables.window(), [&](std::size_t off, std::size_t n,
+                                     std::size_t warmup) {
+    const std::uint8_t* p = data.data() + off;
+    const std::uint64_t base = 1000 + off;
+    const auto oracle = collect([&](auto&& emit) {
+      scan_raw(tables, config, ByteSpan{p, n}, warmup, base, emit);
+    });
+    total += oracle.size();
+    const auto vec = collect([&](auto&& emit) {
+      detail::scan_window_sum(tables, mask, config.marker, p, n, warmup, base,
+                              emit);
+    });
+    EXPECT_EQ(vec, oracle) << "off " << off << " n " << n << " warmup "
+                           << warmup;
+  });
+  EXPECT_GT(total, 0u);
+}
+
+std::vector<ScanPathCase> scan_path_grid() {
+  std::vector<ScanPathCase> cases;
+  for (const unsigned bits : {1u, 8u, 9u, 13u, 16u, 17u, 48u}) {
+    for (const std::size_t w : {std::size_t{1}, std::size_t{2},
+                                std::size_t{8}, std::size_t{9},
+                                std::size_t{48}, kMaxWindow}) {
+      cases.push_back({bits, w});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MaskAndWindow, ScanPaths, ::testing::ValuesIn(scan_path_grid()),
+    [](const ::testing::TestParamInfo<ScanPathCase>& info) {
+      return "mask" + std::to_string(info.param.mask_bits) + "_w" +
+             std::to_string(info.param.window);
+    });
 
 }  // namespace
 }  // namespace shredder::chunking

@@ -240,6 +240,131 @@ TEST(Kernels, ValidatesArguments) {
                std::invalid_argument);
 }
 
+// Accounting regression: the kernel's virtual numbers are a function of its
+// tile and transaction accounting only. These values were recorded from the
+// kernel that staged and scanned every tile separately; the accounting must
+// stay bit-identical now that each thread scans its sub-stream once.
+struct KernelGolden {
+  const char* name;
+  bool coalesced;
+  bool exact_dram;
+  std::size_t data_len;
+  std::size_t carry;
+  std::uint64_t base_offset;
+  std::uint64_t shared_mem_per_sm;
+  std::uint64_t transactions;
+  std::uint64_t bytes_processed;
+  std::uint64_t shared_staged_bytes;
+  double virtual_seconds;
+  double row_switch_fraction;
+  std::size_t n_boundaries;
+  std::uint64_t boundary_hash;  // FNV-1a over the boundary offsets
+};
+
+class KernelAccounting : public ::testing::TestWithParam<KernelGolden> {};
+
+TEST_P(KernelAccounting, StatsMatchRecordedGolden) {
+  const KernelGolden& g = GetParam();
+  chunking::ChunkerConfig config;
+  config.window = 48;
+  config.mask_bits = 8;
+  config.marker = 0x42;
+  const rabin::RabinTables tables(config.window);
+  const auto data = random_bytes(g.data_len, 21);
+  gpu::DeviceSpec spec;
+  spec.shared_mem_per_sm = g.shared_mem_per_sm;
+  gpu::Device device(spec, 4);
+  auto buf = device.alloc(data.size());
+  device.memcpy_h2d(buf, 0, as_bytes(data), gpu::HostMemKind::kPinned);
+  KernelParams params;
+  params.blocks = 4;
+  params.threads_per_block = 32;
+  params.coalesced = g.coalesced;
+  params.exact_dram = g.exact_dram;
+  const auto r = chunk_on_gpu(device, buf, data.size(), g.carry,
+                              g.base_offset, tables, config, params);
+  EXPECT_EQ(r.stats.transactions, g.transactions);
+  EXPECT_EQ(r.stats.bytes_processed, g.bytes_processed);
+  EXPECT_EQ(r.stats.shared_staged_bytes, g.shared_staged_bytes);
+  EXPECT_EQ(r.stats.virtual_seconds, g.virtual_seconds);
+  EXPECT_EQ(r.stats.row_switch_fraction, g.row_switch_fraction);
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const auto b : r.boundaries) {
+    hash ^= b;
+    hash *= 1099511628211ull;
+  }
+  EXPECT_EQ(r.boundaries.size(), g.n_boundaries);
+  EXPECT_EQ(hash, g.boundary_hash);
+}
+
+// 1 MiB on 4 blocks x 32 threads: 48 KiB of shared memory gives 1536-byte
+// slices (every tile staged), 3200 B gives 100-byte slices (halo tiles
+// overflow, short last tiles fit) and 1 KiB gives 32-byte slices (no tile
+// fits: the tile-bigger-than-slice branch). Fields in KernelGolden order.
+const KernelGolden kKernelGolden[] = {
+    {"coalesced", true, false,
+     1 << 20, 0, 0, 49152,
+     8575, 1084625, 1084625,
+     0.00013526251940993789, 0.091492758856879297,
+     4094, 0x587bb5d5891f2563ull},
+    {"basic", false, false,
+     1 << 20, 0, 0, 49152,
+     65917, 1054545, 0,
+     0.00065579291504263431, 0.73755093676733563,
+     4094, 0x587bb5d5891f2563ull},
+    {"coalesced_carry", true, false,
+     1 << 20, 47, 123456, 49152,
+     8575, 1084625, 1084625,
+     0.00013526251940993789, 0.091492758856879297,
+     4094, 0x4b8cd1ab25510de3ull},
+    {"basic_carry", false, false,
+     1 << 20, 47, 123456, 49152,
+     65917, 1054545, 0,
+     0.00065579291504263431, 0.73755093676733563,
+     4094, 0x4b8cd1ab25510de3ull},
+    {"coalesced_shorter_than_window", true, false,
+     30, 0, 0, 49152,
+     30, 465, 465,
+     3.0058689132266574e-05, 0.091492758856879297,
+     0, 0x14650fb0739d0383ull},
+    {"basic_shorter_than_window", false, false,
+     30, 0, 0, 49152,
+     44, 465, 0,
+     3.0417720591985011e-05, 0.73755093676733563,
+     0, 0x14650fb0739d0383ull},
+    {"coalesced_tiny_shared", true, false,
+     1 << 20, 0, 0, 1024,
+     16384, 1818577, 0,
+     0.00020649233307453417, 0.091492758856879297,
+     4094, 0x587bb5d5891f2563ull},
+    {"coalesced_mixed_shared", true, false,
+     1 << 20, 47, 4096, 3200,
+     16384, 1818577, 64,
+     0.00020649233307453417, 0.091492758856879297,
+     4094, 0x3067211cc800e563ull},
+    {"coalesced_exact_dram", true, true,
+     1 << 20, 0, 0, 49152,
+     8575, 1084625, 1084625,
+     0.00013526251940993789, 0.26368304352899991,
+     4094, 0x587bb5d5891f2563ull},
+    {"basic_exact_dram", false, true,
+     1 << 20, 0, 0, 49152,
+     65917, 1054545, 0,
+     0.00042733302777777781, 0.44047619047619047,
+     4094, 0x587bb5d5891f2563ull},
+    {"coalesced_mixed_shared_exact_dram", true, true,
+     1 << 20, 47, 4096, 3200,
+     16384, 1818577, 64,
+     0.00020649233307453417, 0.350341796875,
+     4094, 0x3067211cc800e563ull},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, KernelAccounting, ::testing::ValuesIn(kKernelGolden),
+    [](const ::testing::TestParamInfo<KernelGolden>& info) {
+      return std::string(info.param.name);
+    });
+
 // --- Shredder end-to-end ---
 
 class ShredderModes : public ::testing::TestWithParam<GpuMode> {};

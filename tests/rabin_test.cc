@@ -1,6 +1,10 @@
 // Tests for GF(2) polynomial arithmetic and Rabin fingerprinting.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+
+#include "chunking/chunk.h"
 #include "common/rng.h"
 #include "rabin/gf2.h"
 #include "rabin/rabin.h"
@@ -346,6 +350,82 @@ TEST(RabinTables, ConcatMatchesWholeBufferFingerprint) {
                             tables.fingerprint(as_bytes(b)), b.size()),
               tables.fingerprint(as_bytes(whole)));
   }
+}
+
+// --- Window-sum matrices (the vector scan's substrate) ---
+
+// Scalar gf2p8affineqb with a zero constant: output bit r is the parity of
+// x AND byte 7-r of the matrix.
+std::uint8_t affine_byte(std::uint64_t matrix, std::uint8_t x) {
+  unsigned out = 0;
+  for (unsigned r = 0; r < 8; ++r) {
+    const unsigned row = static_cast<std::uint8_t>(matrix >> (8 * (7 - r)));
+    out |= static_cast<unsigned>(std::popcount(row & x) & 1) << r;
+  }
+  return static_cast<std::uint8_t>(out);
+}
+
+class PlaneMatrixSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PlaneMatrixSweep, MatricesMatchPushBuiltTerms) {
+  // plane_matrix(j, q) applied to byte b must give byte plane q of b's
+  // fingerprint term at distance j: push(0, b) then j zero pushes.
+  const std::size_t w = GetParam();
+  const RabinTables tables(w);
+  std::array<std::uint64_t, 256> term;
+  for (unsigned b = 0; b < 256; ++b) {
+    term[b] = tables.push(0, static_cast<std::uint8_t>(b));
+  }
+  for (std::size_t j = 0; j < w; ++j) {
+    for (unsigned q = 0; q < RabinTables::kMatrixPlanes; ++q) {
+      const std::uint64_t m = tables.plane_matrix(j, q);
+      for (unsigned b = 0; b < 256; ++b) {
+        ASSERT_EQ(affine_byte(m, static_cast<std::uint8_t>(b)),
+                  static_cast<std::uint8_t>(term[b] >> (8 * q)))
+            << "j=" << j << " q=" << q << " b=" << b;
+      }
+    }
+    for (auto& t : term) t = tables.push(t, 0);
+  }
+}
+
+TEST_P(PlaneMatrixSweep, WindowSumEqualsFingerprintPlanes) {
+  // Linearity: XOR over distances of the matrix products is the window's
+  // fingerprint, plane by plane.
+  const std::size_t w = GetParam();
+  const RabinTables tables(w);
+  const auto data = random_bytes(w + 200, 70 + w);
+  for (std::size_t end = w; end <= data.size(); end += 7) {
+    const ByteSpan window = ByteSpan(as_bytes(data)).subspan(end - w, w);
+    const std::uint64_t fp = tables.fingerprint(window);
+    for (unsigned q = 0; q < RabinTables::kMatrixPlanes; ++q) {
+      std::uint8_t sum = 0;
+      for (std::size_t j = 0; j < w; ++j) {
+        sum ^= affine_byte(tables.plane_matrix(j, q), window[w - 1 - j]);
+      }
+      EXPECT_EQ(sum, static_cast<std::uint8_t>(fp >> (8 * q)))
+          << "end=" << end << " q=" << q;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, PlaneMatrixSweep,
+                         ::testing::Values(1, 2, 8, 9, 48,
+                                           chunking::kMaxWindow));
+
+TEST(RabinTables, ShortDistancesAreBytePlaneShifts) {
+  // Below distance 8 a term is b << 8j with no reduction, so plane j holds
+  // b itself and every other plane is zero. This is why the 13-bit mask's
+  // two planes get nothing from distances 2..7.
+  constexpr std::uint64_t kIdentity = 0x0102040810204080ull;
+  const RabinTables tables(48);
+  for (std::size_t j = 0; j < 8; ++j) {
+    for (unsigned q = 0; q < RabinTables::kMatrixPlanes; ++q) {
+      EXPECT_EQ(tables.plane_matrix(j, q), q == j ? kIdentity : 0u)
+          << "j=" << j << " q=" << q;
+    }
+  }
+  EXPECT_NE(tables.plane_matrix(8, 0), 0u);  // the first reduced term
 }
 
 }  // namespace

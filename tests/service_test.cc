@@ -243,6 +243,45 @@ class PerChunkSink final : public ChunkSink {
   std::function<void(const chunking::Chunk&)> on_chunk_;
 };
 
+// Collects every chunk and its bytes, in delivery order.
+class PayloadCollector final : public ChunkSink {
+ public:
+  void on_batch(const ChunkBatchView& batch) override {
+    for (std::size_t i = 0; i < batch.chunks.size(); ++i) {
+      chunks.push_back(batch.chunks[i]);
+      const ByteSpan b = batch.chunk_bytes(i);
+      bytes.insert(bytes.end(), b.begin(), b.end());
+    }
+  }
+  bool wants_payload() const noexcept override { return true; }
+
+  std::vector<chunking::Chunk> chunks;
+  ByteVec bytes;
+};
+
+TEST(ChunkingService, BasicModePayloadMatchesSerialScan) {
+  // Basic mode stages every buffer in a fresh, uninitialised heap block:
+  // the carry and the producer must overwrite every byte a batch hands out.
+  ServiceConfig cfg = small_service_config();
+  cfg.mode = core::GpuMode::kBasic;
+  cfg.buffer_bytes = 8192;
+  const auto data = random_bytes(100000, 33);
+  ChunkingService svc(cfg);
+  PayloadCollector sink;
+  TenantOptions opts;
+  opts.sink = &sink;
+  const auto id = svc.open(std::move(opts));
+  svc.submit(id, as_bytes(data));
+  svc.finish(id);
+  const auto result = svc.wait(id);
+  const rabin::RabinTables tables(cfg.chunker.window);
+  const auto serial =
+      chunking::chunk_serial(tables, cfg.chunker, as_bytes(data));
+  EXPECT_EQ(result.chunks, serial);
+  EXPECT_EQ(sink.chunks, serial);
+  EXPECT_EQ(sink.bytes, data);
+}
+
 TEST(ChunkingService, SlowConsumerNeverDeadlocksOrDropsBuffers) {
   // Tiny queues everywhere and a consumer that stalls on every chunk: the
   // whole pipeline backs up to the producer, which must simply block (never
