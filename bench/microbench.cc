@@ -1,91 +1,62 @@
 // Primitive micro-benchmarks (google-benchmark): the building blocks whose
 // costs the figure benches compose — Rabin window pushes, the canonical
 // scanner, the batched buffer fast path, parallel chunking, min/max
-// filtering, baseline chunkers, SHA hashing and the dedup index.
+// filtering, baseline chunkers, SHA-256 hashing and the dedup index.
 //
-// Chunking perf tracking: `microbench --chunking_json[=PATH]` skips the
-// google-benchmark suite and instead measures raw-boundary scan throughput
-// (seed StreamScanner vs scan_buffer fast path, serial and parallel) on a
-// 64 MiB input, writing machine-readable results to PATH (default
-// BENCH_chunking.json). Run it before and after any hot-path change; see
-// docs/perf.md.
+// JSON modes (the kJsonModes table at the bottom): `--<name>_json[=PATH]`
+// skips the google-benchmark suite, runs one scenario, writes PATH (default
+// BENCH_<name>.json in the working directory) and exits non-zero when the
+// scenario's acceptance bar fails.
 //
-// Multi-tenant service tracking: `microbench --service_json[=PATH]` measures
-// aggregate virtual throughput of the ChunkingService at N = 1, 4, 16
-// concurrent tenant streams against the dedicated single-stream Shredder
-// baseline, writing BENCH_service.json. The acceptance bar is N=16 >= 2x the
-// baseline (the device no longer idles between one stream's buffers).
-// `--service_smoke_json[=PATH]` is the small-N variant scripts/ci.sh runs.
+//   chunking        raw-boundary scan throughput (seed StreamScanner vs the
+//                   scan_buffer fast path, serial and parallel) on 64 MiB;
+//                   wall clock, see docs/perf.md.
+//   service         aggregate virtual throughput of the ChunkingService at
+//                   N = 1, 4, 16 tenants against the dedicated single-stream
+//                   Shredder baseline (docs/service.md).
+//   sink_zero_copy  a payload-consuming sink at the 2 KB operating point
+//                   over the in-memory and the streaming (slot-lease) paths;
+//                   bar: streaming >= 0.95x in-memory wall throughput
+//                   (docs/zero_copy.md). `sink_zero_copy_smoke` is the
+//                   small-input variant (bar 0.9x, BENCH_sink_smoke.json).
+//   fingerprint     a VM snapshot backed up with host hashing and with the
+//                   on-device SHA-256 stage; bar: device >= 1.3x host
+//                   end-to-end (docs/fingerprint.md).
+//   index           a 4 KB-chunked snapshot pair's digest stream through
+//                   both index backends; bar: sparse >= 3x baseline at the
+//                   low-similarity point (docs/dedup_index.md).
+//   agent           a duplicate-heavy 2 KB-chunked snapshot over the
+//                   extent-coalesced wire vs the per-chunk link price; bar:
+//                   batch >= 1.5x faster on the link stage
+//                   (docs/backup_wire.md).
+//   transport       the same snapshot over the ack-clocked transport at
+//                   {0, 1, 5, 10, 20}% frame loss; bar: goodput at 1% loss
+//                   >= 0.7x lossless (docs/backup_wire.md).
+//   obs             the disabled-registry overhead (bar: <= 2%), a
+//                   16-tenant service and a 1%-loss transport with metrics
+//                   and tracing on, exported as Perfetto-loadable
+//                   TRACE_obs_service.json / TRACE_obs_transport.json in
+//                   the working directory, traced engine busy vs
+//                   GpuTimeline::engine_busy (bar: within 1%)
+//                   (docs/observability.md). `obs_smoke` is the small
+//                   variant (BENCH_obs_smoke.json) with the same bars.
+//   retention       N high-churn snapshots backed up, half deleted, GC and
+//                   entry-log compaction; bars: >= 80% of dead bytes
+//                   reclaimed, store and entry log shrink >= 40%, survivors
+//                   recreate bit-identically, probe decisions identical
+//                   across compaction (docs/retention.md).
 //
-// Zero-copy sink tracking: `microbench --sink_zero_copy_json[=PATH]` runs a
-// payload-consuming sink at the 2 KB small-chunk operating point over the
-// in-memory ByteSpan path and the streaming DataSource path (refcounted slot
-// leases end to end, docs/zero_copy.md) and writes both wall throughputs to
-// BENCH_sink.json. The acceptance bar is streaming >= 0.95x in-memory — the
-// lease plumbing must make streaming retention copy-free, not merely
-// correct. `--sink_zero_copy_smoke_json[=PATH]` is the small-input variant
-// scripts/ci.sh runs (bar 0.9x).
-//
-// Fingerprint-stage tracking: `microbench --fingerprint_json[=PATH]` backs a
-// VM snapshot up twice — once hashing chunks on the host store thread, once
-// with the on-device SHA-256 fingerprint stage — and writes end-to-end
-// backup throughput for both plus the fingerprint pipeline's stage/overlap
-// breakdown to BENCH_fingerprint.json. The acceptance bar is device-hash
-// >= 1.3x host-hash end-to-end. `--fingerprint_smoke_json[=PATH]` is the
-// small-image variant scripts/ci.sh runs.
-//
-// Fingerprint-index tracking: `microbench --index_json[=PATH]` replays the
-// digest stream of a 4 KB-chunked snapshot pair (base + low-similarity
-// successor) through both index backends and writes the modelled probe-path
-// seconds, flash/cache counters and the sparse-over-baseline speedup to
-// BENCH_index.json. The acceptance bar is sparse >= 3x baseline at the
-// low-similarity operating point (docs/dedup_index.md).
-// `--index_smoke_json[=PATH]` is the small-image variant scripts/ci.sh runs.
-//
-// Backup-wire tracking: `microbench --agent_json[=PATH]` backs a duplicate-
-// heavy 2 KB-chunked snapshot up over the extent-coalesced batch protocol
-// (docs/backup_wire.md), prices the paper's per-chunk link framing for the
-// same snapshot, and writes both link-stage seconds, message/extent/wire-
-// byte counts and end-to-end bandwidths to BENCH_agent.json. The acceptance bar is batch framing
-// >= 1.5x faster on the link stage at that small-chunk operating point.
-// `--agent_smoke_json[=PATH]` is the small-image variant scripts/ci.sh runs.
-//
-// Transport loss-sweep tracking: `microbench --transport_json[=PATH]` ships
-// the same duplicate-heavy snapshot over the windowed ack-clocked transport
-// (docs/backup_wire.md) under frame-loss rates {0, 1, 5, 10, 20}% plus mild
-// reordering/duplication, writing per-point goodput, retransmit/repair and
-// stall counters to BENCH_transport.json. The acceptance bar is goodput at
-// 1% loss >= 0.7x the lossless run — recovery must stay ack-clocked, not
-// timeout-bound. `--transport_smoke_json[=PATH]` is the small-image variant
-// scripts/ci.sh runs.
-//
-// Observability tracking: `microbench --obs_json[=PATH]` exercises the obs
-// layer end to end (docs/observability.md) — measures the wall-time overhead
-// of a pipeline with a disabled metrics registry attached (bar: <= 2%), runs
-// a 16-tenant service and a 1%-loss backup transport with metrics + tracing
-// on, exports both as Perfetto-loadable Chrome trace JSON
-// (TRACE_obs_service.json, TRACE_obs_transport.json), and cross-checks the
-// traced per-engine busy time against GpuTimeline::engine_busy (bar: within
-// 1%). Writes BENCH_obs.json. `--obs_smoke_json[=PATH]` is the small variant
-// scripts/ci.sh runs.
-//
-// Retention churn tracking: `microbench --retention_json[=PATH]` backs up N
-// high-churn snapshots through a BackupServer, deletes half of them on both
-// the server and the backup-site agent, runs the epoch GC sweep and the
-// entry-log compaction (docs/retention.md), and writes store/index occupancy
-// before and after plus the modelled retention seconds to
-// BENCH_retention.json. The acceptance bars: >= 80% of the dead bytes the
-// deletes zeroed are reclaimed by GC, store bytes and index entry-log size
-// both shrink >= 40%, surviving images recreate bit-identically, and every
-// surviving digest's sparse-index probe decision is bit-identical before and
-// after compaction (dead unshared digests must miss). `--retention_smoke_
-// json[=PATH]` is the small-image variant scripts/ci.sh runs.
+// service, fingerprint, index, agent, transport and retention are virtual
+// time only, so their files regenerate byte for byte; scripts/ci.sh reruns
+// them and compares against the committed files.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -100,7 +71,6 @@
 #include "common/timer.h"
 #include "core/shredder.h"
 #include "dedup/index.h"
-#include "dedup/sha1.h"
 #include "dedup/sha256.h"
 #include "dedup/sha256_compress.h"
 #include "obs/registry.h"
@@ -226,17 +196,6 @@ void BM_MinMaxFilter(benchmark::State& state) {
       static_cast<std::int64_t>(raw.size()));
 }
 BENCHMARK(BM_MinMaxFilter);
-
-void BM_Sha1(benchmark::State& state) {
-  const ByteSpan data = as_bytes(payload()).first(
-      static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dedup::Sha1::hash(data));
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_Sha1)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
 void BM_Sha256(benchmark::State& state) {
   const ByteSpan data = as_bytes(payload()).first(
@@ -397,11 +356,9 @@ struct ServicePoint {
   double h2d_busy_fraction = 0;
 };
 
-int run_service_json(const std::string& path, bool smoke) {
-  const std::size_t per_tenant = smoke ? (1u << 20) : (8u << 20);
-  const std::vector<std::size_t> fleet =
-      smoke ? std::vector<std::size_t>{1, 4}
-            : std::vector<std::size_t>{1, 4, 16};
+int run_service_json(const std::string& path) {
+  const std::size_t per_tenant = 8u << 20;
+  const std::vector<std::size_t> fleet = {1, 4, 16};
   const std::size_t max_n = fleet.back();
 
   service::ServiceConfig cfg;  // paper chunker: w=48, 13 bits, 0x78
@@ -613,10 +570,10 @@ int run_sink_zero_copy_json(const std::string& path, bool smoke) {
 
 // --- --fingerprint_json mode ------------------------------------------------
 
-int run_fingerprint_json(const std::string& path, bool smoke) {
+int run_fingerprint_json(const std::string& path) {
   using namespace shredder::backup;
   ImageRepoConfig repo_cfg;
-  repo_cfg.image_bytes = smoke ? (8ull << 20) : (64ull << 20);
+  repo_cfg.image_bytes = 64ull << 20;
   repo_cfg.segment_bytes = 1ull << 20;
   repo_cfg.seed = 1234;
   ImageRepository repo(repo_cfg);
@@ -632,7 +589,7 @@ int run_fingerprint_json(const std::string& path, bool smoke) {
     cfg.chunker.marker = 0x78;
     cfg.chunker.min_size = 4 * 1024;
     cfg.chunker.max_size = 32 * 1024;
-    cfg.shredder.buffer_bytes = smoke ? (1ull << 20) : (8ull << 20);
+    cfg.shredder.buffer_bytes = 8ull << 20;
     cfg.fingerprint_on_device = device_hash;
     return cfg;
   };
@@ -722,13 +679,13 @@ struct IndexRun {
   dedup::IndexStats stats;
 };
 
-int run_index_json(const std::string& path, bool smoke) {
+int run_index_json(const std::string& path) {
   using namespace shredder::backup;
   ImageRepoConfig repo_cfg;
-  repo_cfg.image_bytes = smoke ? (8ull << 20) : (64ull << 20);
+  repo_cfg.image_bytes = 64ull << 20;
   // Enough similarity segments that a 0.75 change probability reliably
-  // leaves some unchanged (duplicate) runs even at smoke scale.
-  repo_cfg.segment_bytes = smoke ? (256ull << 10) : (1ull << 20);
+  // leaves some unchanged (duplicate) runs.
+  repo_cfg.segment_bytes = 1ull << 20;
   repo_cfg.seed = 77;
   ImageRepository repo(repo_cfg);
   // The fig18 operating point that puts the baseline index on the critical
@@ -835,8 +792,9 @@ int run_index_json(const std::string& path, bool smoke) {
   std::fprintf(f, "}\n");
   std::fclose(f);
 
-  std::printf("index probe path, %zu probes of a %s image at 4 KB chunks:\n",
-              snap_low.size(), smoke ? "8 MiB" : "64 MiB");
+  std::printf("index probe path, %zu probes of a 64 MiB image at 4 KB "
+              "chunks:\n",
+              snap_low.size());
   std::printf(
       "  low similarity (p=0.75): baseline %7.2f ms   sparse %7.2f ms "
       " -> %.1fx (%llu flash reads, %llu cache hits)\n",
@@ -862,11 +820,11 @@ int run_index_json(const std::string& path, bool smoke) {
 
 // --- --agent_json mode ------------------------------------------------------
 
-int run_agent_json(const std::string& path, bool smoke) {
+int run_agent_json(const std::string& path) {
   using namespace shredder::backup;
   ImageRepoConfig repo_cfg;
-  repo_cfg.image_bytes = smoke ? (8ull << 20) : (64ull << 20);
-  repo_cfg.segment_bytes = smoke ? (256ull << 10) : (1ull << 20);
+  repo_cfg.image_bytes = 64ull << 20;
+  repo_cfg.segment_bytes = 1ull << 20;
   repo_cfg.seed = 4711;
   ImageRepository repo(repo_cfg);
 
@@ -881,7 +839,7 @@ int run_agent_json(const std::string& path, bool smoke) {
   cfg.chunker.marker = 0x78;
   cfg.chunker.min_size = 1024;
   cfg.chunker.max_size = 8 * 1024;
-  cfg.shredder.buffer_bytes = smoke ? (1ull << 20) : (8ull << 20);
+  cfg.shredder.buffer_bytes = 8ull << 20;
   cfg.fingerprint_on_device = true;
   cfg.index.kind = dedup::IndexKind::kSparse;
 
@@ -988,11 +946,11 @@ int run_agent_json(const std::string& path, bool smoke) {
 
 // --- --transport_json mode --------------------------------------------------
 
-int run_transport_json(const std::string& path, bool smoke) {
+int run_transport_json(const std::string& path) {
   using namespace shredder::backup;
   ImageRepoConfig repo_cfg;
-  repo_cfg.image_bytes = smoke ? (8ull << 20) : (64ull << 20);
-  repo_cfg.segment_bytes = smoke ? (256ull << 10) : (1ull << 20);
+  repo_cfg.image_bytes = 64ull << 20;
+  repo_cfg.segment_bytes = 1ull << 20;
   repo_cfg.seed = 4711;
   ImageRepository repo(repo_cfg);
 
@@ -1009,7 +967,7 @@ int run_transport_json(const std::string& path, bool smoke) {
     cfg.chunker.marker = 0x78;
     cfg.chunker.min_size = 1024;
     cfg.chunker.max_size = 8 * 1024;
-    cfg.shredder.buffer_bytes = smoke ? (1ull << 20) : (8ull << 20);
+    cfg.shredder.buffer_bytes = 8ull << 20;
     cfg.fingerprint_on_device = true;
     cfg.index.kind = dedup::IndexKind::kSparse;
     cfg.transport.max_frame_bytes = 64 * 1024;
@@ -1121,11 +1079,11 @@ int run_transport_json(const std::string& path, bool smoke) {
 
 // --- --retention_json mode --------------------------------------------------
 
-int run_retention_json(const std::string& path, bool smoke) {
+int run_retention_json(const std::string& path) {
   using namespace shredder::backup;
   ImageRepoConfig repo_cfg;
-  repo_cfg.image_bytes = smoke ? (4ull << 20) : (32ull << 20);
-  repo_cfg.segment_bytes = smoke ? (128ull << 10) : (512ull << 10);
+  repo_cfg.image_bytes = 32ull << 20;
+  repo_cfg.segment_bytes = 512ull << 10;
   repo_cfg.seed = 9091;
   ImageRepository repo(repo_cfg);
 
@@ -1134,7 +1092,7 @@ int run_retention_json(const std::string& path, bool smoke) {
   // half the store — the operating point where retention has to earn its
   // keep. The shared 5% (master segments) exercises the refcount walk: those
   // chunks must survive every delete.
-  const int snapshots = smoke ? 6 : 8;
+  const int snapshots = 8;
   const double change_prob = 0.95;
 
   const auto store = std::make_shared<shredder::dedup::ChunkStore>(
@@ -1383,34 +1341,59 @@ int run_obs_json(const std::string& path, bool smoke) {
   using namespace shredder::backup;
 
   // Part 1 — the "compiled in but disabled" bar: the same pipeline, once
-  // with no registry and once with a disabled one attached, best-of-N wall
-  // time each (interleaved so drift hits both alike). The hooks are per
-  // buffer, so the honest expectation is noise-level overhead; the bar
-  // catches anyone moving them into a per-byte loop.
-  const std::size_t overhead_bytes = smoke ? (8u << 20) : (16u << 20);
+  // with no registry and once with a disabled one attached. The hooks are
+  // per buffer, so the honest expectation is noise-level overhead; the bar
+  // catches anyone moving them into a per-byte loop, which slows every run.
+  // On a shared machine one run varies by ~10% and interference only adds
+  // time, so each variant's verdict is its best run over many passes
+  // interleaved with the other's. Two instances can also differ by ~1% by
+  // where their buffers land, so every round builds a fresh pair behind
+  // random-size spacers, in alternating order, and runs each kRoundPasses
+  // times in plain-instr-instr-plain order (mirrored every other round).
+  // The device is simulated on one host thread so the stage threads that
+  // carry the hooks do not compete with a device pool for cores.
+  const std::size_t overhead_bytes = 16u << 20;
   const ByteVec overhead_input = random_bytes(overhead_bytes, 1234);
-  core::ShredderConfig scfg;
-  scfg.chunker = default_config();
-  scfg.buffer_bytes = 1u << 20;
+  core::ShredderConfig plain_cfg;
+  plain_cfg.chunker = default_config();
+  plain_cfg.buffer_bytes = 1u << 20;
+  plain_cfg.sim_threads = 1;
   obs::Registry disabled_reg;
   disabled_reg.set_enabled(false);
-  core::Shredder plain(scfg);
-  auto instr_cfg = scfg;
+  auto instr_cfg = plain_cfg;
   instr_cfg.registry = &disabled_reg;
-  core::Shredder instrumented(instr_cfg);
-  plain.run(as_bytes(overhead_input));  // warmup both
-  instrumented.run(as_bytes(overhead_input));
-  // Best-of-N with the two variants alternating (and the starting side
-  // flipping each round) so scheduler drift and cache state hit both alike;
-  // the minimum is the least-perturbed run of each.
-  const int reps = smoke ? 7 : 9;
+  constexpr int kRoundPasses = 8;
+  const int rounds = smoke ? 11 : 15;
+  SplitMix64 layout_rng(99);
+  const auto spacer = [&] {
+    return std::make_unique_for_overwrite<std::uint8_t[]>(
+        layout_rng.next_below(1u << 20) + 1);
+  };
   double best_plain = 1e300, best_instr = 1e300;
-  for (int r = 0; r < 2 * reps; ++r) {
-    const bool instr_turn = (r % 4 == 1) || (r % 4 == 2);
-    Stopwatch w;
-    (instr_turn ? instrumented : plain).run(as_bytes(overhead_input));
-    double& best = instr_turn ? best_instr : best_plain;
-    best = std::min(best, w.elapsed_seconds());
+  for (int r = 0; r < rounds; ++r) {
+    const bool mirrored = r % 2 == 1;
+    std::optional<core::Shredder> plain, instrumented;
+    const auto spacer_a = spacer();
+    if (mirrored) {
+      instrumented.emplace(instr_cfg);
+    } else {
+      plain.emplace(plain_cfg);
+    }
+    const auto spacer_b = spacer();
+    if (mirrored) {
+      plain.emplace(plain_cfg);
+    } else {
+      instrumented.emplace(instr_cfg);
+    }
+    plain->run(as_bytes(overhead_input));  // warm up both
+    instrumented->run(as_bytes(overhead_input));
+    for (int k = 0; k < 2 * kRoundPasses; ++k) {
+      const bool instr_turn = (k % 4 == 1 || k % 4 == 2) != mirrored;
+      Stopwatch w;
+      (instr_turn ? *instrumented : *plain).run(as_bytes(overhead_input));
+      double& best = instr_turn ? best_instr : best_plain;
+      best = std::min(best, w.elapsed_seconds());
+    }
   }
   const double overhead_pct = (best_instr / best_plain - 1.0) * 100.0;
 
@@ -1553,8 +1536,9 @@ int run_obs_json(const std::string& path, bool smoke) {
   std::fclose(f);
 
   std::printf("obs overhead (registry disabled): %+.2f%%  "
-              "(plain %.3f ms vs instrumented %.3f ms, best of %d)\n",
-              overhead_pct, best_plain * 1e3, best_instr * 1e3, reps);
+              "(plain %.3f ms vs instrumented %.3f ms, best of %d each)\n",
+              overhead_pct, best_plain * 1e3, best_instr * 1e3,
+              rounds * kRoundPasses);
   std::printf("service run:   %zu tenants, %llu buffers, %zu trace events, "
               "engine-busy err %.4f%% -> %s\n",
               n_tenants, static_cast<unsigned long long>(svc_report.n_buffers),
@@ -1596,112 +1580,44 @@ int run_obs_json(const std::string& path, bool smoke) {
   return 0;
 }
 
+// One JSON mode: `--<name>_json` writes `file` in the working directory,
+// `--<name>_json=PATH` writes PATH. Any other arguments go to
+// google-benchmark.
+struct JsonMode {
+  const char* name;
+  const char* file;
+  int (*run)(const std::string& path);
+};
+
+const JsonMode kJsonModes[] = {
+    {"chunking", "BENCH_chunking.json", run_chunking_json},
+    {"service", "BENCH_service.json", run_service_json},
+    {"sink_zero_copy", "BENCH_sink.json",
+     [](const std::string& p) { return run_sink_zero_copy_json(p, false); }},
+    {"sink_zero_copy_smoke", "BENCH_sink_smoke.json",
+     [](const std::string& p) { return run_sink_zero_copy_json(p, true); }},
+    {"fingerprint", "BENCH_fingerprint.json", run_fingerprint_json},
+    {"index", "BENCH_index.json", run_index_json},
+    {"agent", "BENCH_agent.json", run_agent_json},
+    {"transport", "BENCH_transport.json", run_transport_json},
+    {"obs", "BENCH_obs.json",
+     [](const std::string& p) { return run_obs_json(p, false); }},
+    {"obs_smoke", "BENCH_obs_smoke.json",
+     [](const std::string& p) { return run_obs_json(p, true); }},
+    {"retention", "BENCH_retention.json", run_retention_json},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--chunking_json") == 0) {
-      return run_chunking_json("BENCH_chunking.json");
-    }
-    if (std::strncmp(argv[i], "--chunking_json=", 16) == 0) {
-      return run_chunking_json(argv[i] + 16);
-    }
-    if (std::strcmp(argv[i], "--service_json") == 0) {
-      return run_service_json("BENCH_service.json", /*smoke=*/false);
-    }
-    if (std::strncmp(argv[i], "--service_json=", 15) == 0) {
-      return run_service_json(argv[i] + 15, /*smoke=*/false);
-    }
-    if (std::strcmp(argv[i], "--service_smoke_json") == 0) {
-      return run_service_json("BENCH_service_smoke.json", /*smoke=*/true);
-    }
-    if (std::strncmp(argv[i], "--service_smoke_json=", 21) == 0) {
-      return run_service_json(argv[i] + 21, /*smoke=*/true);
-    }
-    if (std::strcmp(argv[i], "--sink_zero_copy_json") == 0) {
-      return run_sink_zero_copy_json("BENCH_sink.json", /*smoke=*/false);
-    }
-    if (std::strncmp(argv[i], "--sink_zero_copy_json=", 22) == 0) {
-      return run_sink_zero_copy_json(argv[i] + 22, /*smoke=*/false);
-    }
-    if (std::strcmp(argv[i], "--sink_zero_copy_smoke_json") == 0) {
-      return run_sink_zero_copy_json("BENCH_sink_smoke.json", /*smoke=*/true);
-    }
-    if (std::strncmp(argv[i], "--sink_zero_copy_smoke_json=", 28) == 0) {
-      return run_sink_zero_copy_json(argv[i] + 28, /*smoke=*/true);
-    }
-    if (std::strcmp(argv[i], "--fingerprint_json") == 0) {
-      return run_fingerprint_json("BENCH_fingerprint.json", /*smoke=*/false);
-    }
-    if (std::strncmp(argv[i], "--fingerprint_json=", 19) == 0) {
-      return run_fingerprint_json(argv[i] + 19, /*smoke=*/false);
-    }
-    if (std::strcmp(argv[i], "--fingerprint_smoke_json") == 0) {
-      return run_fingerprint_json("BENCH_fingerprint_smoke.json",
-                                  /*smoke=*/true);
-    }
-    if (std::strncmp(argv[i], "--fingerprint_smoke_json=", 25) == 0) {
-      return run_fingerprint_json(argv[i] + 25, /*smoke=*/true);
-    }
-    if (std::strcmp(argv[i], "--index_json") == 0) {
-      return run_index_json("BENCH_index.json", /*smoke=*/false);
-    }
-    if (std::strncmp(argv[i], "--index_json=", 13) == 0) {
-      return run_index_json(argv[i] + 13, /*smoke=*/false);
-    }
-    if (std::strcmp(argv[i], "--index_smoke_json") == 0) {
-      return run_index_json("BENCH_index_smoke.json", /*smoke=*/true);
-    }
-    if (std::strncmp(argv[i], "--index_smoke_json=", 19) == 0) {
-      return run_index_json(argv[i] + 19, /*smoke=*/true);
-    }
-    if (std::strcmp(argv[i], "--agent_json") == 0) {
-      return run_agent_json("BENCH_agent.json", /*smoke=*/false);
-    }
-    if (std::strncmp(argv[i], "--agent_json=", 13) == 0) {
-      return run_agent_json(argv[i] + 13, /*smoke=*/false);
-    }
-    if (std::strcmp(argv[i], "--agent_smoke_json") == 0) {
-      return run_agent_json("BENCH_agent_smoke.json", /*smoke=*/true);
-    }
-    if (std::strncmp(argv[i], "--agent_smoke_json=", 19) == 0) {
-      return run_agent_json(argv[i] + 19, /*smoke=*/true);
-    }
-    if (std::strcmp(argv[i], "--transport_json") == 0) {
-      return run_transport_json("BENCH_transport.json", /*smoke=*/false);
-    }
-    if (std::strncmp(argv[i], "--transport_json=", 17) == 0) {
-      return run_transport_json(argv[i] + 17, /*smoke=*/false);
-    }
-    if (std::strcmp(argv[i], "--transport_smoke_json") == 0) {
-      return run_transport_json("BENCH_transport_smoke.json", /*smoke=*/true);
-    }
-    if (std::strncmp(argv[i], "--transport_smoke_json=", 23) == 0) {
-      return run_transport_json(argv[i] + 23, /*smoke=*/true);
-    }
-    if (std::strcmp(argv[i], "--obs_json") == 0) {
-      return run_obs_json("BENCH_obs.json", /*smoke=*/false);
-    }
-    if (std::strncmp(argv[i], "--obs_json=", 11) == 0) {
-      return run_obs_json(argv[i] + 11, /*smoke=*/false);
-    }
-    if (std::strcmp(argv[i], "--obs_smoke_json") == 0) {
-      return run_obs_json("BENCH_obs.json", /*smoke=*/true);
-    }
-    if (std::strncmp(argv[i], "--obs_smoke_json=", 17) == 0) {
-      return run_obs_json(argv[i] + 17, /*smoke=*/true);
-    }
-    if (std::strcmp(argv[i], "--retention_json") == 0) {
-      return run_retention_json("BENCH_retention.json", /*smoke=*/false);
-    }
-    if (std::strncmp(argv[i], "--retention_json=", 17) == 0) {
-      return run_retention_json(argv[i] + 17, /*smoke=*/false);
-    }
-    if (std::strcmp(argv[i], "--retention_smoke_json") == 0) {
-      return run_retention_json("BENCH_retention_smoke.json", /*smoke=*/true);
-    }
-    if (std::strncmp(argv[i], "--retention_smoke_json=", 23) == 0) {
-      return run_retention_json(argv[i] + 23, /*smoke=*/true);
+    const std::string_view arg = argv[i];
+    for (const JsonMode& mode : kJsonModes) {
+      const std::string flag = std::string("--") + mode.name + "_json";
+      if (arg == flag) return mode.run(mode.file);
+      if (arg.starts_with(flag + "=")) {
+        return mode.run(std::string(arg.substr(flag.size() + 1)));
+      }
     }
   }
   benchmark::Initialize(&argc, argv);

@@ -105,19 +105,6 @@ TransportConfig BackupServer::transport_config(
   cfg.link = config_.costs.link;
   cfg.tracer = config_.tracer;
   cfg.trace_label = image_id;
-  if (config_.backend == ChunkerBackend::kSharedService && config_.service) {
-    if (const auto t = config_.service->tenant_transport(image_id)) {
-      if (t->window_frames > 0) cfg.window_frames = t->window_frames;
-      if (t->rto_s > 0) cfg.rto_s = t->rto_s;
-      if (t->agent_apply_bw >= 0) cfg.agent_apply_bw = t->agent_apply_bw;
-      if (t->drop >= 0) cfg.faults.drop = t->drop;
-      if (t->reorder >= 0) cfg.faults.reorder = t->reorder;
-      if (t->duplicate >= 0) cfg.faults.duplicate = t->duplicate;
-      if (t->delay >= 0) cfg.faults.delay = t->delay;
-      if (t->stall >= 0) cfg.faults.stall = t->stall;
-      if (t->fault_seed != 0) cfg.faults.seed = t->fault_seed;
-    }
-  }
   return cfg;
 }
 
@@ -288,17 +275,6 @@ BackupRunStats BackupServer::dedup_and_ship(
   stats.link_messages = ts.link.messages;
   stats.link_extents = ts.link.extents;
   stats.wire_bytes = ts.link.wire_bytes;
-  if (config_.backend == ChunkerBackend::kSharedService && config_.service) {
-    service::TenantTransportHealth health;
-    health.tenant = image_id;
-    health.frames_sent = ts.frames_sent;
-    health.retransmits = ts.retransmits;
-    health.repairs = ts.repair_frames;
-    health.stall_seconds = ts.window_stall_seconds;
-    health.link_seconds = ts.virtual_seconds;
-    health.degraded = ts.degraded;
-    config_.service->report_transport_health(std::move(health));
-  }
   stats.index_transfer_seconds = stats.index_seconds + stats.link_seconds;
 
   // --- Steady-state pipelined bandwidth: slowest stage wins ---

@@ -234,9 +234,8 @@ class BackupServer {
                                 double generation_seconds,
                                 double chunking_seconds, BackupAgent& agent);
 
-  // Builds the per-snapshot transport configuration: server defaults, link
-  // costs from the cost model, then any per-tenant overrides registered with
-  // the shared service (kSharedService backend only).
+  // Builds the per-snapshot transport configuration: the server's
+  // TransportConfig with link costs from the cost model.
   TransportConfig transport_config(const std::string& image_id) const;
 
   // Publishes one finished snapshot's deltas into registry_ (no-op when

@@ -75,7 +75,7 @@ GpuChunkResult chunk_on_gpu(gpu::Device& device, const gpu::DeviceBuffer& buf,
     const std::size_t tpb = static_cast<std::size_t>(ctx.threads_per_block());
     const std::uint64_t dev_base = buf.device_addr();
     // This thread's slice of the block's shared memory (coalesced only).
-    const std::size_t slice = ctx.shared().size() / tpb;
+    const std::size_t slice = ctx.shared_bytes() / tpb;
     for (std::size_t t = 0; t < tpb; ++t) {
       const int g = ctx.block_idx() * ctx.threads_per_block() +
                     static_cast<int>(t);

@@ -10,12 +10,11 @@
 namespace shredder::gpu {
 
 BlockCtx::BlockCtx(int block_idx, const LaunchConfig& config,
-                   const DeviceSpec& spec, MutableByteSpan shared,
+                   const DeviceSpec& spec,
                    std::vector<std::uint64_t>* exact_addrs)
     : block_idx_(block_idx),
       config_(&config),
       spec_(&spec),
-      shared_(shared),
       exact_addrs_(exact_addrs) {}
 
 void BlockCtx::record_global_read(std::uint64_t addr,
@@ -117,19 +116,14 @@ KernelRunStats Device::launch(const LaunchConfig& config, const KernelFn& fn) {
   }
   Stopwatch wall;
 
-  // Per-block shared-memory staging, work counters and (optionally) exact
-  // address traces.
-  std::vector<std::vector<std::uint8_t>> shared(
-      static_cast<std::size_t>(config.blocks));
+  // Per-block work counters and (optionally) exact address traces.
   std::vector<std::vector<std::uint64_t>> traces(
       config.exact_dram ? static_cast<std::size_t>(config.blocks) : 0);
   std::vector<BlockCounters> counters(static_cast<std::size_t>(config.blocks));
 
   pool_.for_each_index(static_cast<std::size_t>(config.blocks),
                        [&](std::size_t b) {
-                         shared[b].resize(spec_.shared_mem_per_sm);
                          BlockCtx ctx(static_cast<int>(b), config, spec_,
-                                      {shared[b].data(), shared[b].size()},
                                       config.exact_dram ? &traces[b] : nullptr);
                          fn(ctx);
                          counters[b] = ctx.counters();

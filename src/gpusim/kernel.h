@@ -12,11 +12,11 @@
 //                 row-switch fraction for the launch's access pattern.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "common/bytes.h"
 #include "gpusim/spec.h"
 
 namespace shredder::gpu {
@@ -83,7 +83,7 @@ struct BlockCounters {
 class BlockCtx {
  public:
   BlockCtx(int block_idx, const LaunchConfig& config, const DeviceSpec& spec,
-           MutableByteSpan shared, std::vector<std::uint64_t>* exact_addrs);
+           std::vector<std::uint64_t>* exact_addrs);
 
   int block_idx() const noexcept { return block_idx_; }
   int num_blocks() const noexcept { return config_->blocks; }
@@ -91,9 +91,12 @@ class BlockCtx {
   int total_threads() const noexcept { return config_->total_threads(); }
   const DeviceSpec& spec() const noexcept { return *spec_; }
 
-  // On-chip shared memory of this block's SM (real staging storage, at most
-  // DeviceSpec::shared_mem_per_sm bytes).
-  MutableByteSpan shared() noexcept { return shared_; }
+  // Size of this block's on-chip shared memory (DeviceSpec::
+  // shared_mem_per_sm). Kernels model staging against it and account it
+  // with record_shared_stage; no kernel keeps data there.
+  std::size_t shared_bytes() const noexcept {
+    return static_cast<std::size_t>(spec_->shared_mem_per_sm);
+  }
 
   // Accounts `bytes` of input consumed by the kernel's compute loop.
   void record_processed(std::uint64_t bytes) noexcept {
@@ -117,7 +120,6 @@ class BlockCtx {
   const LaunchConfig* config_;
   const DeviceSpec* spec_;
   BlockCounters counters_;
-  MutableByteSpan shared_;
   std::vector<std::uint64_t>* exact_addrs_;  // non-null in exact_dram mode
 };
 

@@ -6,7 +6,7 @@
 // blocks), copy_from_local_gpu == the new `-copyFromLocalGPU` command, which
 // pushes the file through Shredder's GPU pipeline, aligns the resulting
 // boundaries to record boundaries (semantic chunking), and uploads the
-// chunks as blocks whose identity is the SHA-1 of their content.
+// chunks as blocks whose identity is the SHA-256 of their content.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@ namespace shredder::inchdfs {
 // An input split handed to a Map task: the payload plus its content digest
 // (the memoization key for incremental MapReduce).
 struct Split {
-  dedup::Sha1Digest digest;
+  dedup::ChunkDigest digest;
   ByteVec data;
 };
 

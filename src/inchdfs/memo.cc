@@ -4,7 +4,7 @@
 
 namespace shredder::inchdfs {
 
-MemoServer::MapOutputPtr MemoServer::get_map(const dedup::Sha1Digest& key) {
+MemoServer::MapOutputPtr MemoServer::get_map(const dedup::ChunkDigest& key) {
   MutexLock lock(mutex_);
   const auto it = map_memo_.find(key);
   if (it == map_memo_.end()) {
@@ -15,13 +15,13 @@ MemoServer::MapOutputPtr MemoServer::get_map(const dedup::Sha1Digest& key) {
   return it->second;
 }
 
-void MemoServer::put_map(const dedup::Sha1Digest& key, MapOutputPtr value) {
+void MemoServer::put_map(const dedup::ChunkDigest& key, MapOutputPtr value) {
   MutexLock lock(mutex_);
   map_memo_[key] = std::move(value);
 }
 
 std::optional<std::map<std::string, std::string>> MemoServer::get_reduce(
-    const dedup::Sha1Digest& key) {
+    const dedup::ChunkDigest& key) {
   MutexLock lock(mutex_);
   const auto it = reduce_memo_.find(key);
   if (it == reduce_memo_.end()) {
@@ -32,13 +32,13 @@ std::optional<std::map<std::string, std::string>> MemoServer::get_reduce(
   return it->second;
 }
 
-void MemoServer::put_reduce(const dedup::Sha1Digest& key,
+void MemoServer::put_reduce(const dedup::ChunkDigest& key,
                             std::map<std::string, std::string> value) {
   MutexLock lock(mutex_);
   reduce_memo_[key] = std::move(value);
 }
 
-MemoServer::CombinePtr MemoServer::get_combine(const dedup::Sha1Digest& key) {
+MemoServer::CombinePtr MemoServer::get_combine(const dedup::ChunkDigest& key) {
   MutexLock lock(mutex_);
   const auto it = combine_memo_.find(key);
   if (it == combine_memo_.end()) {
@@ -49,7 +49,7 @@ MemoServer::CombinePtr MemoServer::get_combine(const dedup::Sha1Digest& key) {
   return it->second;
 }
 
-void MemoServer::put_combine(const dedup::Sha1Digest& key, CombinePtr value) {
+void MemoServer::put_combine(const dedup::ChunkDigest& key, CombinePtr value) {
   MutexLock lock(mutex_);
   combine_memo_[key] = std::move(value);
 }

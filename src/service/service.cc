@@ -43,14 +43,6 @@ ChunkingService::ChunkingService(ServiceConfig config)
   m_bytes_ingested_ = &registry_->counter("service.bytes_ingested_total");
   m_buffers_dispatched_ =
       &registry_->counter("service.buffers_dispatched_total");
-  m_transport_reports_ =
-      &registry_->counter("service.transport_reports_total");
-  m_transport_degraded_ =
-      &registry_->counter("service.transport_degraded_total");
-  m_transport_retx_ =
-      &registry_->counter("service.transport_retransmits_total");
-  m_transport_repairs_ =
-      &registry_->counter("service.transport_repairs_total");
   engine_ = std::make_unique<core::PipelineEngine>(
       core::frontend_engine_config(config_, registry_), *device_, tables_,
       config_.chunker);
@@ -666,32 +658,7 @@ ServiceReport ChunkingService::shutdown() {
     report.index_virtual_seconds = dedup_->index().virtual_seconds();
   }
   report.wall_seconds = wall_.elapsed_seconds();
-  {
-    MutexLock tlock(transport_mu_);
-    report.transport.assign(transport_health_.begin(),
-                            transport_health_.end());
-  }
-  report.health = health();
-  report.degraded_agents =
-      static_cast<std::size_t>(report.health.degraded_agents);
   return report;
-}
-
-ServiceHealth ChunkingService::health() const {
-  ServiceHealth h;
-  {
-    MutexLock lock(mu_);
-    h.open_sessions = open_sessions_;
-  }
-  const obs::Registry& reg = *registry_;
-  h.buffers_dispatched = reg.counter_sum("service.buffers_dispatched_total");
-  h.bytes_ingested = reg.counter_sum("service.bytes_ingested_total");
-  h.transport_reports = reg.counter_sum("service.transport_reports_total");
-  h.degraded_agents = reg.counter_sum("service.transport_degraded_total");
-  h.transport_retransmits =
-      reg.counter_sum("service.transport_retransmits_total");
-  h.transport_repairs = reg.counter_sum("service.transport_repairs_total");
-  return h;
 }
 
 retention::RetentionManager::DeleteStats ChunkingService::delete_image(
@@ -701,39 +668,6 @@ retention::RetentionManager::DeleteStats ChunkingService::delete_image(
         "ChunkingService: delete_image requires dedup_on_store");
   }
   return retention_->delete_image(tenant, image);
-}
-
-void ChunkingService::set_tenant_transport(const std::string& tenant,
-                                           const TenantTransport& transport) {
-  MutexLock lock(transport_mu_);
-  tenant_transports_[tenant] = transport;
-}
-
-std::optional<TenantTransport> ChunkingService::tenant_transport(
-    const std::string& tenant) const {
-  MutexLock lock(transport_mu_);
-  const auto it = tenant_transports_.find(tenant);
-  if (it == tenant_transports_.end()) return std::nullopt;
-  return it->second;
-}
-
-void ChunkingService::report_transport_health(TenantTransportHealth health) {
-  // The registry is the single source of truth for the verdict counters;
-  // health()/shutdown() read them back instead of a parallel tally.
-  m_transport_reports_->add(1);
-  if (health.degraded) m_transport_degraded_->add(1);
-  m_transport_retx_->add(health.retransmits);
-  m_transport_repairs_->add(health.repairs);
-  MutexLock lock(transport_mu_);
-  transport_health_.push_back(std::move(health));
-  while (transport_health_.size() > config_.transport_health_capacity) {
-    transport_health_.pop_front();
-  }
-}
-
-std::vector<TenantTransportHealth> ChunkingService::transport_health() const {
-  MutexLock lock(transport_mu_);
-  return {transport_health_.begin(), transport_health_.end()};
 }
 
 }  // namespace shredder::service

@@ -35,9 +35,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -99,14 +97,11 @@ struct ServiceConfig {
   // per service, so cross-service duplicates are caught by the store's own
   // digest keying). Ignored — and rejected — without dedup_on_store.
   std::shared_ptr<dedup::ChunkStore> store;
-  // Bound on the retained per-tenant transport health reports (oldest
-  // evicted); see report_transport_health below.
-  std::size_t transport_health_capacity = 1024;
   // Optional metrics registry (borrowed; must outlive the service). Null =>
   // the service owns a private one, reachable via registry(). The service
-  // publishes service.* counters, forwards the registry to its pipeline
-  // engine (pipeline.* metrics) and aggregates transport-health verdicts
-  // through it (see ServiceHealth).
+  // publishes service.* counters and forwards the registry to its pipeline
+  // engine (pipeline.* metrics); backup servers driving the service publish
+  // their backup.* counters into it too.
   obs::Registry* registry = nullptr;
   // Optional virtual-time tracer (borrowed). When set, the store thread
   // emits one span per pipeline stage per buffer on the shared engine
@@ -116,55 +111,6 @@ struct ServiceConfig {
   obs::Tracer* tracer = nullptr;
 
   void validate() const;
-};
-
-// Per-tenant overrides for the backup transport a server uses when shipping
-// this tenant's snapshots (backup/transport.h). Plain values only — the
-// service sits below the backup layer, so this is a registry of knobs, not
-// of backup types. Sentinels mean "keep the server default": 0 for the
-// counts/timeouts/seed, negative for the rates.
-struct TenantTransport {
-  std::size_t window_frames = 0;  // sender window override; 0 = default
-  double rto_s = 0;               // initial RTO override; 0 = default
-  double agent_apply_bw = -1;     // agent apply bandwidth; <0 = default
-  // FaultModel probabilities; <0 = keep default.
-  double drop = -1;
-  double reorder = -1;
-  double duplicate = -1;
-  double delay = -1;
-  double stall = -1;
-  std::uint64_t fault_seed = 0;   // 0 = default
-};
-
-// One snapshot's transport health as reported back by a backup server:
-// enough to spot the degraded agents in a fleet without holding backup-layer
-// stats types here.
-struct TenantTransportHealth {
-  std::string tenant;
-  std::uint64_t frames_sent = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t repairs = 0;      // repair-data frames the server served
-  double stall_seconds = 0;       // sender time spent window-blocked
-  double link_seconds = 0;        // transport makespan
-  bool degraded = false;
-};
-
-// Unified live-health roll-up, readable at any time via
-// ChunkingService::health(). Every count is aggregated from the metrics
-// registry (summed across label sets with Registry::counter_sum), so the
-// verdict and the exported metrics can never disagree. Absorbs the old
-// ad-hoc degraded_agents tally: `degraded_agents` here and in the shutdown
-// report both read the service.transport_degraded_total counter.
-struct ServiceHealth {
-  std::size_t open_sessions = 0;
-  std::uint64_t buffers_dispatched = 0;   // service.buffers_dispatched_total
-  std::uint64_t bytes_ingested = 0;       // service.bytes_ingested_total
-  std::uint64_t transport_reports = 0;    // service.transport_reports_total
-  std::uint64_t degraded_agents = 0;      // service.transport_degraded_total
-  std::uint64_t transport_retransmits = 0;  // ...transport_retransmits_total
-  std::uint64_t transport_repairs = 0;      // ...transport_repairs_total
-
-  bool healthy() const noexcept { return degraded_agents == 0; }
 };
 
 struct TenantOptions {
@@ -245,12 +191,6 @@ struct ServiceReport {
   std::uint64_t dedup_stored_bytes = 0;  // payload bytes added to the store
   double index_virtual_seconds = 0;
   std::vector<TenantReport> tenants;   // in completion order
-  // Backup-transport health reports received over the service lifetime and
-  // how many of them crossed a degraded threshold.
-  std::vector<TenantTransportHealth> transport;
-  std::size_t degraded_agents = 0;
-  // Final registry-backed health roll-up (same counters health() reads).
-  ServiceHealth health;
 };
 
 class ChunkingService {
@@ -294,24 +234,9 @@ class ChunkingService {
   // The service cannot be used afterwards.
   ServiceReport shutdown();
 
-  // --- per-tenant backup-transport registry -------------------------------
-  // Backup servers driving this service consult the registry before opening
-  // a transport to a tenant's agent, and report each snapshot's transport
-  // health afterwards (bounded history; degraded agents are aggregated into
-  // the shutdown report). Thread-safe against concurrent snapshots.
-  void set_tenant_transport(const std::string& tenant,
-                            const TenantTransport& transport);
-  std::optional<TenantTransport> tenant_transport(
-      const std::string& tenant) const;
-  void report_transport_health(TenantTransportHealth health);
-  std::vector<TenantTransportHealth> transport_health() const;
-
   // The metrics registry the service publishes into: the configured one, or
   // the service-owned fallback. Valid for the service's lifetime.
   obs::Registry& registry() noexcept { return *registry_; }
-  // Live health roll-up aggregated from the registry; thread-safe, callable
-  // at any point of the service lifecycle.
-  ServiceHealth health() const;
 
   const ServiceConfig& config() const noexcept { return config_; }
   const rabin::RabinTables& tables() const noexcept { return tables_; }
@@ -422,23 +347,11 @@ class ChunkingService {
   obs::Tracer* tracer_ = nullptr;
   obs::Counter* m_bytes_ingested_ = nullptr;
   obs::Counter* m_buffers_dispatched_ = nullptr;
-  obs::Counter* m_transport_reports_ = nullptr;
-  obs::Counter* m_transport_degraded_ = nullptr;
-  obs::Counter* m_transport_retx_ = nullptr;
-  obs::Counter* m_transport_repairs_ = nullptr;
   std::unique_ptr<core::PipelineEngine> engine_;
   // Shared inline-dedup state, store thread only (dedup_on_store mode).
   std::unique_ptr<dedup::Deduplicator> dedup_;
   std::unique_ptr<retention::RetentionManager> retention_;
   const Stopwatch wall_;
-
-  // Backup-transport registry + health history (own lock: touched by backup
-  // servers around snapshots, never on the chunking hot path).
-  mutable Mutex transport_mu_;
-  std::unordered_map<std::string, TenantTransport> tenant_transports_
-      GUARDED_BY(transport_mu_);
-  std::deque<TenantTransportHealth> transport_health_
-      GUARDED_BY(transport_mu_);
 
   mutable Mutex mu_;  // sessions map, scheduler wakeups, completion
   CondVar sched_cv_;

@@ -1,4 +1,4 @@
-// Tests for the dedup substrate: SHA-1/SHA-256 against official vectors,
+// Tests for the dedup substrate: SHA-256 against official vectors,
 // chunk index, content-addressed store, and the deduplicator.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "dedup/dedup.h"
 #include "dedup/index.h"
-#include "dedup/sha1.h"
 #include "dedup/sha256.h"
 #include "dedup/sha256_compress.h"
 #include "dedup/store.h"
@@ -22,58 +21,6 @@ namespace {
 
 ByteSpan str_bytes(const char* s) {
   return {reinterpret_cast<const std::uint8_t*>(s), std::strlen(s)};
-}
-
-// --- SHA-1: FIPS 180-1 / RFC 3174 vectors ---
-
-TEST(Sha1, EmptyString) {
-  EXPECT_EQ(Sha1::hash({}).hex(), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-}
-
-TEST(Sha1, Abc) {
-  EXPECT_EQ(Sha1::hash(str_bytes("abc")).hex(),
-            "a9993e364706816aba3e25717850c26c9cd0d89d");
-}
-
-TEST(Sha1, TwoBlockMessage) {
-  EXPECT_EQ(
-      Sha1::hash(str_bytes(
-                     "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
-          .hex(),
-      "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
-
-TEST(Sha1, MillionAs) {
-  std::string a(1000000, 'a');
-  EXPECT_EQ(Sha1::hash(as_bytes(a)).hex(),
-            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
-}
-
-TEST(Sha1, IncrementalMatchesOneShot) {
-  const auto data = random_bytes(100000, 1);
-  Sha1 h;
-  std::size_t pos = 0;
-  SplitMix64 rng(2);
-  while (pos < data.size()) {
-    const std::size_t n =
-        std::min<std::size_t>(1 + rng.next_below(300), data.size() - pos);
-    h.update(ByteSpan(data).subspan(pos, n));
-    pos += n;
-  }
-  EXPECT_EQ(h.finish(), Sha1::hash(as_bytes(data)));
-}
-
-TEST(Sha1, FinishResets) {
-  Sha1 h;
-  h.update(str_bytes("abc"));
-  h.finish();
-  h.update(str_bytes("abc"));
-  EXPECT_EQ(h.finish().hex(), "a9993e364706816aba3e25717850c26c9cd0d89d");
-}
-
-TEST(Sha1, Prefix64MatchesHexPrefix) {
-  const auto d = Sha1::hash(str_bytes("abc"));
-  EXPECT_EQ(d.prefix64(), 0xa9993e364706816aull);
 }
 
 // --- SHA-256: FIPS 180-4 vectors ---

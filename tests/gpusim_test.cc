@@ -2,7 +2,6 @@
 // timeline scheduling, and kernel launch accounting.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -547,20 +546,6 @@ TEST(Device, LaunchStatsComputeVsMemory) {
   EXPECT_EQ(stats.transactions, 8u * ((1 << 20) / 16));
   EXPECT_GT(stats.memory_seconds, stats.compute_seconds);
   EXPECT_GT(stats.virtual_seconds, stats.memory_seconds);
-}
-
-TEST(Device, SharedMemoryIsPerBlockAndWritable) {
-  Device dev(spec(), 4);
-  LaunchConfig cfg;
-  cfg.blocks = 4;
-  dev.launch(cfg, [&](BlockCtx& ctx) {
-    auto sh = ctx.shared();
-    ASSERT_EQ(sh.size(), spec().shared_mem_per_sm);
-    std::memset(sh.data(), ctx.block_idx() + 1, sh.size());
-    for (auto b : sh) {
-      ASSERT_EQ(b, static_cast<std::uint8_t>(ctx.block_idx() + 1));
-    }
-  });
 }
 
 TEST(Device, ExactDramModeProducesFraction) {

@@ -53,7 +53,7 @@ TEST(MiniHdfs, BlockDigestsAreContentDigests) {
   fs.write_file("f", {as_bytes(data)});
   const auto refs = fs.namenode().lookup("f");
   ASSERT_EQ(refs.size(), 1u);
-  EXPECT_EQ(refs[0].digest, dedup::Sha1::hash(as_bytes(data)));
+  EXPECT_EQ(refs[0].digest, dedup::ChunkHasher::hash(as_bytes(data)));
 }
 
 TEST(MiniHdfs, DuplicateFileRejected) {
@@ -206,7 +206,8 @@ TEST_F(IncHdfsUpload, ReadSplitsMatchesBlocks) {
   ASSERT_EQ(splits.size(), blocks.size());
   for (std::size_t i = 0; i < splits.size(); ++i) {
     EXPECT_EQ(splits[i].data, blocks[i]);
-    EXPECT_EQ(splits[i].digest, dedup::Sha1::hash(as_bytes(blocks[i])));
+    EXPECT_EQ(splits[i].digest,
+              dedup::ChunkHasher::hash(as_bytes(blocks[i])));
   }
 }
 
@@ -236,7 +237,7 @@ TEST(MapEmitter, RejectsZeroReducers) {
 Split make_split(const std::string& text) {
   Split s;
   s.data.assign(text.begin(), text.end());
-  s.digest = dedup::Sha1::hash(as_bytes(s.data));
+  s.digest = dedup::ChunkHasher::hash(as_bytes(s.data));
   return s;
 }
 
@@ -366,7 +367,7 @@ TEST(ContractionTree, KMeansCombinerPreservesResult) {
     const auto len = std::min<std::size_t>(8000, blob.size() - off);
     s.data.assign(blob.begin() + static_cast<std::ptrdiff_t>(off),
                   blob.begin() + static_cast<std::ptrdiff_t>(off + len));
-    s.digest = dedup::Sha1::hash(as_bytes(s.data));
+    s.digest = dedup::ChunkHasher::hash(as_bytes(s.data));
     splits.push_back(std::move(s));
   }
   MapReduceEngine engine(4);
@@ -397,7 +398,7 @@ TEST(KMeans, ConvergesToClusterCentres) {
     const auto len = std::min<std::size_t>(16000, blob.size() - off);
     s.data.assign(blob.begin() + static_cast<std::ptrdiff_t>(off),
                   blob.begin() + static_cast<std::ptrdiff_t>(off + len));
-    s.digest = dedup::Sha1::hash(as_bytes(s.data));
+    s.digest = dedup::ChunkHasher::hash(as_bytes(s.data));
     splits.push_back(std::move(s));
   }
   MapReduceEngine engine(4);
@@ -427,7 +428,7 @@ TEST(KMeans, MemoizedIterationMatchesVanilla) {
   const auto blob = make_points_blob(5000, 4, 13);
   Split s;
   s.data = blob;
-  s.digest = dedup::Sha1::hash(as_bytes(blob));
+  s.digest = dedup::ChunkHasher::hash(as_bytes(blob));
   MapReduceEngine engine(2);
   MemoServer memo;
   KMeansDriver driver(4, 10, 14);

@@ -19,8 +19,8 @@ core::ShredderConfig shredder_config() {
   return cfg;
 }
 
-dedup::Sha1Digest digest_of(std::uint64_t v) {
-  return dedup::Sha1::hash(
+dedup::ChunkDigest digest_of(std::uint64_t v) {
+  return dedup::ChunkHasher::hash(
       ByteSpan{reinterpret_cast<const std::uint8_t*>(&v), sizeof(v)});
 }
 
@@ -124,6 +124,18 @@ TEST(Middlebox, TokenForUnknownChunkThrows) {
   token.digest = digest_of(99);
   bogus.segments.push_back(token);
   EXPECT_THROW(receiver.decode(bogus), std::runtime_error);
+}
+
+TEST(Middlebox, TokenWireSizeIsDigestPlusLength) {
+  // A token carries one ChunkDigest (SHA-256) and an 8-byte length; a literal
+  // carries its payload and the same length.
+  Segment token;
+  token.digest = digest_of(1);
+  EXPECT_EQ(token.wire_bytes(), sizeof(dedup::ChunkDigest) + 8);
+  EXPECT_EQ(token.wire_bytes(), 40u);
+  Segment literal;
+  literal.literal = random_bytes(100, 1);
+  EXPECT_EQ(literal.wire_bytes(), 108u);
 }
 
 TEST(Middlebox, WireAccounting) {

@@ -607,9 +607,9 @@ TEST(BackupServer, ForcedRepairPathEndToEnd) {
   EXPECT_EQ(agent.pending_repairs(), 0u);
 }
 
-// --- service: per-tenant transport config + degraded-agent stats -----------
+// --- service: per-tenant transport = one server per TransportConfig --------
 
-TEST(BackupServer, ServiceTenantTransportOverridesAndHealth) {
+TEST(BackupServer, ServiceTenantsWithOwnTransportShareOneLedger) {
   service::ServiceConfig svc_cfg;
   svc_cfg.chunker.window = 32;
   svc_cfg.chunker.mask_bits = 11;
@@ -620,51 +620,51 @@ TEST(BackupServer, ServiceTenantTransportOverridesAndHealth) {
   svc_cfg.sim_threads = 4;
   auto svc = std::make_shared<service::ChunkingService>(svc_cfg);
 
-  auto cfg = faulty_server_config();
-  cfg.backend = ChunkerBackend::kSharedService;
-  cfg.service = svc;
-  BackupServer server(cfg);
-
-  // vm-lossy's agent sits behind a 25% loss wire; vm-clean keeps defaults.
-  service::TenantTransport lossy;
-  lossy.drop = 0.25;
-  lossy.fault_seed = 42;
-  svc->set_tenant_transport("vm-lossy", lossy);
-  ASSERT_TRUE(svc->tenant_transport("vm-lossy").has_value());
-  EXPECT_FALSE(svc->tenant_transport("vm-clean").has_value());
+  // A tenant's transport is its server's own TransportConfig: vm-lossy's
+  // agent sits behind a 25% loss wire, vm-clean's keeps the defaults. Both
+  // servers chunk on the one shared service and publish into its registry.
+  auto clean_cfg = faulty_server_config();
+  clean_cfg.backend = ChunkerBackend::kSharedService;
+  clean_cfg.service = svc;
+  auto lossy_cfg = clean_cfg;
+  lossy_cfg.transport.faults.drop = 0.25;
+  lossy_cfg.transport.faults.seed = 42;
+  BackupServer lossy_server(lossy_cfg);
+  BackupServer clean_server(clean_cfg);
 
   ImageRepoConfig repo_cfg;
   repo_cfg.image_bytes = 2 * 1024 * 1024;
   repo_cfg.segment_bytes = 256 * 1024;
   repo_cfg.seed = 80;
   ImageRepository repo(repo_cfg);
-  BackupAgent agent;
+  BackupAgent lossy_agent;
+  BackupAgent clean_agent;
   const auto snap_a = repo.snapshot(0.0, 1);
   const auto snap_b = repo.snapshot(0.5, 2);
-  const auto sl =
-      server.backup_image("vm-lossy", as_bytes(snap_a), repo, agent);
-  const auto sc =
-      server.backup_image("vm-clean", as_bytes(snap_b), repo, agent);
+  const auto sl = lossy_server.backup_image("vm-lossy", as_bytes(snap_a),
+                                            repo, lossy_agent);
+  const auto sc = clean_server.backup_image("vm-clean", as_bytes(snap_b),
+                                            repo, clean_agent);
   EXPECT_TRUE(sl.verified);
   EXPECT_TRUE(sc.verified);
   EXPECT_GT(sl.transport.retransmits, 0u);
   EXPECT_TRUE(sl.link_degraded);  // 25% loss is far past the 5% threshold
   EXPECT_EQ(sc.transport.retransmits, 0u);
   EXPECT_FALSE(sc.link_degraded);
+  EXPECT_EQ(lossy_agent.recreate("vm-lossy"),
+            ByteVec(snap_a.begin(), snap_a.end()));
+  EXPECT_EQ(clean_agent.recreate("vm-clean"),
+            ByteVec(snap_b.begin(), snap_b.end()));
 
-  // Both snapshots reported their transport health to the service.
-  const auto health = svc->transport_health();
-  ASSERT_EQ(health.size(), 2u);
-  EXPECT_EQ(health[0].tenant, "vm-lossy");
-  EXPECT_GT(health[0].retransmits, 0u);
-  EXPECT_TRUE(health[0].degraded);
-  EXPECT_EQ(health[1].tenant, "vm-clean");
-  EXPECT_EQ(health[1].retransmits, 0u);
-  EXPECT_FALSE(health[1].degraded);
-
-  const auto report = svc->shutdown();
-  ASSERT_EQ(report.transport.size(), 2u);
-  EXPECT_EQ(report.degraded_agents, 1u);
+  // The service's registry is the one record of both snapshots' transport
+  // health: one degraded run, and every retransmit the lossy one paid.
+  const obs::Registry& reg = svc->registry();
+  EXPECT_EQ(reg.counter_sum("backup.snapshots_total"), 2u);
+  EXPECT_EQ(reg.counter_sum("backup.degraded_runs_total"), 1u);
+  EXPECT_GT(reg.counter_sum("backup.retransmits_total"), 0u);
+  EXPECT_EQ(reg.counter_sum("backup.retransmits_total"),
+            sl.transport.retransmits);
+  svc->shutdown();
 }
 
 }  // namespace
